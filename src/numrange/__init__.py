@@ -88,9 +88,9 @@ from .numerical_range import (
     BoundarySample,
     boundary,
     numerical_radius,
-    numerical_radius_support,
     rotated_real_part,
     support_function,
+    support_sweep,
 )
 from .poncelet import (
     PonceletPolygon,

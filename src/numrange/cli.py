@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -54,17 +53,6 @@ def _zero_arg(text: str) -> tuple[complex, int]:
     return z, m
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("NUMRANGE_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"NUMRANGE_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 0:
-        raise ValueError(f"NUMRANGE_THREADS must be nonnegative, got {cap}")
-    return cap
-
-
 def _phi_from_args(args) -> BlaschkeProduct:
     zeros = getattr(args, "zero", None)
     alpha = getattr(args, "alpha", None)
@@ -99,7 +87,7 @@ def cmd_radius(args) -> tuple[RunReport, int]:
             closed = radius_closed_form(zero, n)
             results["closed_form_radius"] = closed
             agreement["closed_vs_formula"] = abs(closed - formula)
-    elif all(m >= 1 for _, m in phi.factors):
+    else:
         zs = [z for z, _ in phi.factors]
         distinct = all(
             abs(zs[i] - zs[j]) > 1e-12 for i in range(len(zs)) for j in range(i + 1, len(zs))
@@ -116,7 +104,7 @@ def cmd_radius(args) -> tuple[RunReport, int]:
     if agreement:
         results["agreement"] = agreement
     inputs = _phi_inputs(phi)
-    inputs.update({"grid": args.grid, "refine_tol": args.refine_tol, "threads": _thread_cap()})
+    inputs.update({"grid": args.grid, "refine_tol": args.refine_tol})
     report = RunReport(
         command="radius",
         inputs=inputs,
@@ -159,7 +147,7 @@ def cmd_boundary(args) -> tuple[RunReport, int]:
         with open(args.svg, "w", encoding="ascii") as fh:
             fh.write(boundary_svg(sample, polygon))
     inputs = _phi_inputs(phi)
-    inputs.update({"grid": args.grid, "threads": _thread_cap()})
+    inputs["grid"] = args.grid
     if args.vertex is not None:
         inputs["vertex"] = args.vertex
     report = RunReport(command="boundary", inputs=inputs, results=results, tolerances={})
@@ -183,7 +171,7 @@ def cmd_poncelet(args) -> tuple[RunReport, int]:
         with open(args.svg, "w", encoding="ascii") as fh:
             fh.write(boundary_svg(sample, polygon))
     inputs = _phi_inputs(phi)
-    inputs.update({"vertex": args.vertex, "grid": args.grid, "threads": _thread_cap()})
+    inputs.update({"vertex": args.vertex, "grid": args.grid})
     report = RunReport(
         command="poncelet",
         inputs=inputs,
@@ -208,7 +196,7 @@ def cmd_kms(args) -> tuple[RunReport, int]:
     }
     report = RunReport(
         command="kms",
-        inputs={"alpha": args.alpha, "n": args.n, "threads": _thread_cap()},
+        inputs={"alpha": args.alpha, "n": args.n},
         results=results,
         tolerances={"dense_agreement": 1e-9},
     )
@@ -249,10 +237,7 @@ def cmd_angles(args) -> tuple[RunReport, int]:
             "bound": proxy.bound,
         },
     }
-    inputs = {
-        "zeros": [[z.real, z.imag, m] for z, m in args.zero],
-        "threads": _thread_cap(),
-    }
+    inputs = {"zeros": [[z.real, z.imag, m] for z, m in args.zero]}
     report = RunReport(
         command="angles",
         inputs=inputs,
@@ -283,12 +268,7 @@ def cmd_verify(args) -> tuple[RunReport, int]:
         }
     report = RunReport(
         command="verify",
-        inputs={
-            "suite": args.suite,
-            "trials": args.trials,
-            "seed": args.seed,
-            "threads": _thread_cap(),
-        },
+        inputs={"suite": args.suite, "trials": args.trials, "seed": args.seed},
         results=results,
         tolerances=dict(TOLERANCES),
     )

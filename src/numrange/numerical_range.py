@@ -15,7 +15,9 @@ DEFAULT_BOUNDARY_GRID = 2048
 DEFAULT_REFINE_TOL = 1e-12
 MIN_RADIUS_GRID = 64
 MIN_BOUNDARY_GRID = 8
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Matrix entries per stacked eigensolve; bounds the memory of support_sweep.
+ENTRIES = 4096
+_NEWTON_GAP = 1e-9  # relative top-eigenvalue gap below which the radius refinement bisects
 
 
 def rotated_real_part(t, theta: float) -> np.ndarray:
@@ -25,15 +27,30 @@ def rotated_real_part(t, theta: float) -> np.ndarray:
     return 0.5 * (w * m + (w * m).conj().T)
 
 
-def _real_part_eigenvalues(m: np.ndarray, theta: float) -> np.ndarray:
-    w = complex(math.cos(theta), -math.sin(theta))
-    return np.linalg.eigvalsh(0.5 * (w * m + (w * m).conj().T))
+def _hermitian_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Re T and Im T: Re(e^{-i theta} T) = cos(theta) Re T + sin(theta) Im T
+    return 0.5 * (m + m.conj().T), -0.5j * (m - m.conj().T)
+
+
+def support_sweep(t, thetas) -> np.ndarray:
+    """Largest eigenvalue of Re(e^{-i theta} T) at each angle of ``thetas``,
+    from one ``eigvalsh`` call per stacked block of ``ENTRIES`` entries."""
+    re_t, im_t = _hermitian_parts(linalg.as_square(t))
+    thetas = np.asarray(thetas, dtype=np.float64).reshape(-1)
+    cos_t = np.cos(thetas)[:, None, None]
+    sin_t = np.sin(thetas)[:, None, None]
+    block = max(1, ENTRIES // re_t.size)
+    out = np.empty(len(thetas))
+    for i in range(0, len(thetas), block):
+        stack = cos_t[i : i + block] * re_t + sin_t[i : i + block] * im_t
+        out[i : i + block] = np.linalg.eigvalsh(stack)[:, -1]
+    return out
 
 
 def support_function(t, theta: float) -> float:
     """Largest eigenvalue of Re(e^{-i theta} T): the signed distance from
     the origin to the supporting line of W(T) with outward direction theta."""
-    return float(_real_part_eigenvalues(linalg.as_square(t), theta)[-1])
+    return float(support_sweep(t, [theta])[0])
 
 
 @dataclass(frozen=True)
@@ -74,7 +91,7 @@ def boundary(t, grid_size: int = DEFAULT_BOUNDARY_GRID) -> BoundarySample:
     if grid_size < MIN_BOUNDARY_GRID:
         raise ValueError(f"grid_size must be at least {MIN_BOUNDARY_GRID}")
     thetas = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    support = np.array([_real_part_eigenvalues(m, th)[-1] for th in thetas])
+    support = support_sweep(m, thetas)
     h = 2.0 * math.pi / grid_size
     lam_p = (np.roll(support, -1) - np.roll(support, 1)) / (2.0 * h)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
@@ -88,31 +105,19 @@ def boundary(t, grid_size: int = DEFAULT_BOUNDARY_GRID) -> BoundarySample:
     )
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> float:
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best = max(f1, f2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        best = max(best, f1, f2)
-    return best
-
-
-def _grid_refine_max(f, grid_size: int, refine_tol: float) -> float:
-    thetas = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    vals = np.array([f(th) for th in thetas])
-    k = int(np.argmax(vals))
-    h = 2.0 * math.pi / grid_size
-    refined = _golden_max(f, thetas[k] - h, thetas[k] + h, refine_tol)
-    return max(float(vals[k]), refined)
+def _support_derivatives(re_t, im_t, theta: float) -> tuple[float, float, float]:
+    """Support function and its first two theta-derivatives from one eigh;
+    the second is +inf where a nearly multiple top eigenvalue breaks it."""
+    c, s = math.cos(theta), math.sin(theta)
+    vals, vecs = np.linalg.eigh(c * re_t + s * im_t)
+    lam = float(vals[-1])
+    # v_j* Im(e^{-i theta} T) v_top; Im(e^{-i theta} T) is the derivative
+    coupling = vecs.conj().T @ ((c * im_t - s * re_t) @ vecs[:, -1])
+    slope = float(coupling[-1].real)
+    gaps = lam - vals[:-1]
+    if np.any(gaps < _NEWTON_GAP * max(1.0, abs(lam))):
+        return lam, slope, math.inf
+    return lam, slope, -lam + 2.0 * float(np.sum(np.abs(coupling[:-1]) ** 2 / gaps))
 
 
 def numerical_radius(
@@ -120,12 +125,15 @@ def numerical_radius(
     grid_size: int = DEFAULT_RADIUS_GRID,
     refine_tol: float = DEFAULT_REFINE_TOL,
 ) -> float:
-    """Numerical radius of T.
+    """Numerical radius of T, the maximum of the support function over the
+    angle (lambda_min(theta) = -lambda_max(theta + pi)).
 
-    Maximizes the spectral norm of Re(e^{-i theta} T) over the angle: a
-    coarse uniform grid locates the best cell and golden-section search
-    refines it to ``refine_tol`` in theta.  The result is never below the
-    grid maximum.
+    One :func:`support_sweep` over a uniform grid locates the best cell and
+    safeguarded Newton on lambda' refines it, bisecting when the curvature
+    is not negative, the step leaves the bracket or the top eigenvalue is
+    nearly multiple.  When the cell's end slopes do not bracket a maximum
+    (a plateau or a kink) the grid maximum is returned; the result is never
+    below the grid maximum.
 
     Parameters
     ----------
@@ -134,37 +142,28 @@ def numerical_radius(
     grid_size : int
         Number of coarse angles, at least ``MIN_RADIUS_GRID``.
     refine_tol : float
-        Final bracket width of the golden-section refinement.
+        Angle tolerance of the Newton bracket and step.
     """
     m = linalg.as_square(t)
     grid_size = int(grid_size)
     if grid_size < MIN_RADIUS_GRID:
         raise ValueError(f"grid_size must be at least {MIN_RADIUS_GRID}")
-
-    def norm_at(theta: float) -> float:
-        w = _real_part_eigenvalues(m, theta)
-        return max(abs(float(w[0])), abs(float(w[-1])))
-
-    return _grid_refine_max(norm_at, grid_size, refine_tol)
-
-
-def numerical_radius_support(
-    t,
-    grid_size: int = DEFAULT_RADIUS_GRID,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-) -> float:
-    """Numerical radius through the support function alone.
-
-    Maximizes the largest eigenvalue of Re(e^{-i theta} T); this agrees
-    with :func:`numerical_radius` whenever the supremum is attained with a
-    positive support value, in particular on the rank-one-defect class.
-    """
-    m = linalg.as_square(t)
-    grid_size = int(grid_size)
-    if grid_size < MIN_RADIUS_GRID:
-        raise ValueError(f"grid_size must be at least {MIN_RADIUS_GRID}")
-
-    def top_at(theta: float) -> float:
-        return float(_real_part_eigenvalues(m, theta)[-1])
-
-    return _grid_refine_max(top_at, grid_size, refine_tol)
+    thetas = 2.0 * math.pi * np.arange(grid_size) / grid_size
+    support = support_sweep(m, thetas)
+    k = int(np.argmax(support))
+    best, x, h = float(support[k]), float(thetas[k]), 2.0 * math.pi / grid_size
+    lo, hi = x - h, x + h
+    re_t, im_t = _hermitian_parts(m)
+    if not _support_derivatives(re_t, im_t, lo)[1] > 0.0 > _support_derivatives(re_t, im_t, hi)[1]:
+        return best
+    while hi - lo > refine_tol and lo < x < hi:
+        lam, slope, curv = _support_derivatives(re_t, im_t, x)
+        best = max(best, lam)
+        if slope == 0.0:
+            break
+        lo, hi = (x, hi) if slope > 0.0 else (lo, x)
+        newton = x - slope / curv if curv < 0.0 else math.nan
+        if abs(newton - x) <= refine_tol:
+            break
+        x = newton if lo < newton < hi else 0.5 * (lo + hi)
+    return best

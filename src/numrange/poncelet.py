@@ -5,8 +5,8 @@ unitary dilations one dimension up.  For each point of the unit circle
 there is a dilation whose spectrum contains it; the spectrum then forms a
 polygon inscribed in the circle whose edges are tangent to the boundary
 of the numerical range.  This module builds the dilations, selects the
-phase placing a prescribed vertex, extracts the unitary spectrum, and
-certifies the tangency.
+phase placing a prescribed vertex in closed form, extracts the unitary
+spectrum, and certifies the tangency.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import numpy as np
 
 from . import linalg
 from .errors import NotRankOneError, NumrangeError, PhaseSearchFailureError
-from .numerical_range import boundary, support_function
+from .numerical_range import boundary, support_sweep
 
 DEFECT_RANK_TOL = 1e-8
 UNITARITY_TOL = 1e-10
-PHASE_RESIDUAL_TOL = 1e-8
 VERTEX_MATCH_TOL = 1e-8
 VERTEX_DISTINCT_TOL = 1e-8
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -165,46 +164,21 @@ class PonceletPolygon:
         return len(self.vertices)
 
 
-def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best_x, best_f = (x1, f1) if f1 < f2 else (x2, f2)
-    while b - a > tol:
-        if f1 > f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        if f1 < best_f:
-            best_x, best_f = x1, f1
-        if f2 < best_f:
-            best_x, best_f = x2, f2
-    return best_x, best_f
-
-
-def poncelet_polygon(
-    t,
-    vertex,
-    coarse: int = 64,
-    refine_tol: float = 1e-12,
-    residual_tol: float = PHASE_RESIDUAL_TOL,
-) -> PonceletPolygon:
+def poncelet_polygon(t, vertex) -> PonceletPolygon:
     """Polygon of the unitary dilation of T having ``vertex`` as a vertex.
 
-    The dilation phase is found by minimizing |det(U(phase) - vertex I)|
-    over ``coarse`` samples followed by golden-section refinement; the
-    residual at the solution must drop below ``residual_tol``.  Returns
+    The last column of the dilation U(w), w = e^{i phase}, is w times a
+    fixed vector, so det(U(w) - vertex I) = w B' - vertex C with
+    C = det(T - vertex I) and B' = det(U(1) - vertex I) + vertex C.  The
+    phase is therefore arg(vertex C / B'), from two determinants.  Returns
     the n+1 eigenvalues of the selected dilation sorted by argument.
 
     Raises
     ------
     PhaseSearchFailureError
-        If no phase places the vertex in the spectrum, or the computed
-        spectrum violates the unit-modulus or distinctness checks.
+        If B' vanishes, so that no phase places the vertex in the
+        spectrum, or the computed spectrum violates the unit-modulus,
+        distinctness or vertex-match checks.
     """
     m = linalg.as_square(t)
     n = m.shape[0]
@@ -213,22 +187,14 @@ def poncelet_polygon(
     lam = complex(vertex)
     if abs(abs(lam) - 1.0) > 1e-9:
         raise ValueError(f"vertex must lie on the unit circle, got |v| = {abs(lam)}")
-    data = _dilation_data(m)
-    eye = np.eye(n + 1, dtype=np.complex128)
-
-    def residual(phase: float) -> float:
-        return abs(linalg.determinant(_assemble(m, *data, phase) - lam * eye))
-
-    phases = 2.0 * math.pi * np.arange(coarse) / coarse
-    vals = np.array([residual(p) for p in phases])
-    k = int(np.argmin(vals))
-    h = 2.0 * math.pi / coarse
-    phase, res = _golden_min(residual, phases[k] - h, phases[k] + h, refine_tol)
-    if res > residual_tol:
+    c = linalg.determinant(m - lam * np.eye(n, dtype=np.complex128))
+    u_one = _assemble(m, *_dilation_data(m), 0.0)
+    b = linalg.determinant(u_one - lam * np.eye(n + 1, dtype=np.complex128)) + lam * c
+    if b == 0:
         raise PhaseSearchFailureError(
-            f"no dilation phase reaches residual {residual_tol:.1e}, best {res:.3e}"
+            f"no dilation phase places {lam}: det(U(1) - vertex I) + vertex C vanishes"
         )
-    u = unitary_dilation(m, phase)
+    u = unitary_dilation(m, cmath.phase(lam * c / b))
     eigs, _ = unitary_eigensystem(u)
     moduli = np.abs(eigs)
     if np.max(np.abs(moduli - 1.0)) > 1e-10:
@@ -265,12 +231,8 @@ def edge_support_gaps(polygon, t) -> np.ndarray:
     verts = np.asarray(verts, dtype=np.complex128)
     if len(verts) < 3:
         raise ValueError("need at least three vertices")
-    m = linalg.as_square(t)
-    gaps = []
-    for normal, offset in _edges(verts):
-        psi = math.atan2(normal.imag, normal.real)
-        gaps.append(support_function(m, psi) - offset)
-    return np.array(gaps)
+    normals, offsets = zip(*_edges(verts))
+    return support_sweep(t, np.angle(normals)) - np.array(offsets)
 
 
 def circumscription_check(polygon, t, grid_size: int = 512) -> float:

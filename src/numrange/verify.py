@@ -18,7 +18,6 @@ from .inequalities import (
     polynomial_apply,
     random_nilpotent_contraction,
     schwarz_pick_chain,
-    schwarz_pick_check,
 )
 from .model_operator import compress_shift_adjoint, shift_adjoint_matrix, single_zero_matrix
 from .numerical_range import numerical_radius
@@ -61,13 +60,6 @@ class SuiteResult:
 
     def fail(self, message: str) -> None:
         self.failures.append(message)
-
-    def summary(self) -> dict:
-        return {
-            "trials": len(self.records),
-            "passed": self.passed,
-            "failures": self.failures,
-        }
 
 
 def _disc_point(rng: np.random.Generator, radius: float) -> complex:
@@ -159,21 +151,21 @@ def schwarz_pick_suite(trials: int = 200, seed: int = 1) -> SuiteResult:
         alpha = _disc_point(rng, 0.8)
         name, f = maps[int(rng.integers(0, len(maps)))]
         t = random_nilpotent_contraction(n, seed=int(rng.integers(0, 2**31 - 1)))
-        check = schwarz_pick_check(t, f, alpha)
         chain = schwarz_pick_chain(t, f, alpha)
+        margin = chain.formula_power - chain.lhs
         shift_radius = numerical_radius(polynomial_apply(shift_adjoint_matrix(n), f))
         nilp_radius = numerical_radius(polynomial_apply(t.matrix, f))
         rec = {
             "trial": i, "n": n, "alpha": alpha, "map": name,
-            "lhs": check.lhs, "rhs": check.rhs, "margin": check.margin,
+            "lhs": chain.lhs, "rhs": chain.formula_power, "margin": margin,
             "chain_step1": chain.shift_bound - chain.lhs,
             "chain_step2": chain.mobius_power - chain.shift_bound,
             "chain_formula_delta": abs(chain.mobius_power - chain.formula_power),
             "calculus_margin": shift_radius - nilp_radius,
         }
         out.records.append(rec)
-        if check.margin < floor:
-            out.fail(f"trial {i}: margin {check.margin:.3e}")
+        if margin < floor:
+            out.fail(f"trial {i}: margin {margin:.3e}")
         if rec["chain_step1"] < floor:
             out.fail(f"trial {i}: first chain link {rec['chain_step1']:.3e}")
         if rec["chain_step2"] < floor:
@@ -230,7 +222,3 @@ SUITES = {
     "schwarz-pick": schwarz_pick_suite,
     "angles": angles_suite,
 }
-
-
-def run_suites(names, trials: int, seed: int) -> dict[str, SuiteResult]:
-    return {name: SUITES[name](trials=trials, seed=seed) for name in names}

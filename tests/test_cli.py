@@ -186,20 +186,6 @@ def test_out_flag_writes_report(tmp_path, capsys):
     assert path.read_text() == out
 
 
-def test_thread_cap_env_is_echoed(capsys, monkeypatch):
-    monkeypatch.setenv("NUMRANGE_THREADS", "4")
-    code, out, _ = run_cli(capsys, "radius", "--alpha", "0,0", "--n", "2")
-    assert code == 0
-    assert json.loads(out)["inputs"]["threads"] == 4
-
-
-def test_thread_cap_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("NUMRANGE_THREADS", "many")
-    code, _, err = run_cli(capsys, "radius", "--alpha", "0,0", "--n", "2")
-    assert code == 2
-    assert "NUMRANGE_THREADS" in err
-
-
 def test_csv_serializer_digits():
     sample = boundary(shift_matrix(2), 64)
     text = boundary_csv(sample)

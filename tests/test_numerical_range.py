@@ -14,9 +14,9 @@ from numrange.model_operator import (
 from numrange.numerical_range import (
     boundary,
     numerical_radius,
-    numerical_radius_support,
     rotated_real_part,
     support_function,
+    support_sweep,
 )
 
 
@@ -140,10 +140,24 @@ def test_radius_rotation_covariance():
 
 
 def test_radius_backends_agree_on_model_operators():
+    # lambda_min(theta) = -lambda_max(theta + pi): the radius needs only the support function
     rng = np.random.default_rng(17)
     for _ in range(6):
         m = compress_shift_adjoint(random_product(rng)).matrix
-        assert abs(numerical_radius(m) - numerical_radius_support(m)) < 1e-9
+        for theta in 2 * math.pi * rng.random(4):
+            bottom = hermitian_eig(rotated_real_part(m, theta)).values[0]
+            assert abs(-bottom - support_function(m, theta + math.pi)) < 1e-12
+
+
+@pytest.mark.parametrize("n, grid", [(3, 1000), (1, 37), (64, 5)])
+def test_support_sweep_matches_per_angle_eigvalsh(n, grid):
+    # grid 1000 is not a multiple of the n = 3 block; n = 64 has a block of one
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a /= spectral_norm(a)
+    thetas = 2 * math.pi * rng.random(grid)
+    expected = [np.linalg.eigvalsh(rotated_real_part(a, th))[-1] for th in thetas]
+    assert np.max(np.abs(support_sweep(a, thetas) - expected)) < 1e-13
 
 
 def test_model_operator_radius_strictly_between_polygon_floor_and_one():

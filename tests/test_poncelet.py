@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from numrange.blaschke import BlaschkeProduct
-from numrange.errors import NotRankOneError
+from numrange.errors import NotRankOneError, PhaseSearchFailureError
 from numrange.linalg import norm_inf
 from numrange.model_operator import compress_shift_adjoint, shift_matrix, single_zero_matrix
 from numrange.poncelet import (
@@ -153,3 +153,9 @@ def test_product_sweeps_stay_tangent():
 def test_rejects_vertex_off_circle():
     with pytest.raises(ValueError):
         poncelet_polygon(shift_matrix(2), 0.5)
+
+
+def test_phase_failure_when_vertex_determinant_is_degenerate():
+    # diag(1, 0) has 1 in its spectrum and det(U(w) - I) = 0 for every phase
+    with pytest.raises(PhaseSearchFailureError):
+        poncelet_polygon(np.diag([1.0, 0.0]), 1.0)
