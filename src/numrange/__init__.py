@@ -15,6 +15,7 @@ from .blaschke import (
     evaluate,
     poisson_kernel,
     real_part_symbol,
+    takenaka_basis,
     takenaka_taylor,
 )
 from .errors import (

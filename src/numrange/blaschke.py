@@ -115,21 +115,24 @@ def evaluate(phi: BlaschkeProduct, z) -> complex:
     return out
 
 
-def poisson_kernel(alpha, t) -> float:
-    """P_a(e^{it}) = (1 - a^2) / (1 - 2 a cos t + a^2) for real a in [0, 1)."""
+def poisson_kernel(alpha, t):
+    """P_a(e^{it}) = (1 - a^2) / (1 - 2 a cos t + a^2) for real a in [0, 1).
+
+    ``t`` may be a number or an array of angles.
+    """
     a = _unit_interval(alpha)
-    return (1.0 - a * a) / (1.0 - 2.0 * a * math.cos(t) + a * a)
+    return (1.0 - a * a) / (1.0 - 2.0 * a * np.cos(t) + a * a)
 
 
-def real_part_symbol(alpha, t) -> float:
+def real_part_symbol(alpha, t):
     """Toeplitz symbol of the real part of the single-zero model operator.
 
     h(t) = ((1 + a^2) cos t - 2 a) / (1 - 2 a cos t + a^2), the symbol for
     the zero placed at -a.  It reduces to cos t at a = 0 and is strictly
-    decreasing on [0, pi].
+    decreasing on [0, pi].  ``t`` may be a number or an array of angles.
     """
     a = _unit_interval(alpha)
-    c = math.cos(t)
+    c = np.cos(t)
     return ((1.0 + a * a) * c - 2.0 * a) / (1.0 - 2.0 * a * c + a * a)
 
 
@@ -209,6 +212,62 @@ def default_truncation(phi: BlaschkeProduct) -> int:
     return max(n, phi.degree + 1, 8)
 
 
+def _checked_truncation(phi: BlaschkeProduct, n_terms: int | None) -> int:
+    if n_terms is None:
+        n_terms = default_truncation(phi)
+    n_terms = int(n_terms)
+    if n_terms < 1:
+        raise ValueError("n_terms must be positive")
+    if n_terms > MAX_TRUNCATION:
+        raise TruncationInsufficientError(f"truncation {n_terms} exceeds {MAX_TRUNCATION}")
+    return n_terms
+
+
+def _takenaka_rows(zeros: list[complex], n_terms: int) -> np.ndarray:
+    """Taylor coefficients of the first len(zeros) Takenaka basis functions.
+
+    Row k is the kernel series at zeros[k] times the product of the factor
+    series of zeros[:k].  Each distinct zero's two series are built once.
+    A row whose zero repeats the previous one is that row times one factor
+    series; otherwise the running factor product is brought up to date and
+    multiplied by the new kernel series.
+    """
+    series: dict[complex, tuple[np.ndarray, np.ndarray]] = {}
+    rows = np.empty((len(zeros), n_terms), dtype=np.complex128)
+    product, multiplied = None, 0  # product of the factor series of zeros[:multiplied]
+    for k, z in enumerate(zeros):
+        if z not in series:
+            series[z] = (_kernel_series(z, n_terms), _factor_series(z, n_terms))
+        if k and z == zeros[k - 1]:
+            rows[k] = np.convolve(rows[k - 1], series[z][1])[:n_terms]
+            continue
+        for w in zeros[multiplied:k]:
+            factor = series[w][1]
+            product = factor if product is None else np.convolve(product, factor)[:n_terms]
+        multiplied = k
+        kernel = series[z][0]
+        rows[k] = kernel if product is None else np.convolve(kernel, product)[:n_terms]
+    return rows
+
+
+def _basis_tail_bound(zeros: list[complex], n_terms: int) -> float:
+    """Largest :func:`_tail_bound` among the Takenaka basis functions of the
+    multiplicity-expanded ``zeros``."""
+    return max(_tail_bound(zeros[:k], zeros[k], n_terms) for k in range(len(zeros)))
+
+
+def takenaka_basis(phi: BlaschkeProduct, n_terms: int | None = None) -> tuple[np.ndarray, float]:
+    """Taylor coefficients of the whole Takenaka basis of H(phi), one row per
+    basis function, and the largest tail bound among the rows.
+
+    ``n_terms`` defaults to :func:`default_truncation`, as in
+    :func:`takenaka_taylor`, whose rows these are.
+    """
+    n_terms = _checked_truncation(phi, n_terms)
+    zeros = phi.zeros()
+    return _takenaka_rows(zeros, n_terms), _basis_tail_bound(zeros, n_terms)
+
+
 def takenaka_taylor(phi: BlaschkeProduct, k: int, n_terms: int | None = None) -> TaylorSeries:
     """Taylor coefficients of the k-th Takenaka basis function of H(phi).
 
@@ -233,14 +292,6 @@ def takenaka_taylor(phi: BlaschkeProduct, k: int, n_terms: int | None = None) ->
     zeros = phi.zeros()
     if not 1 <= k <= len(zeros):
         raise IndexOutOfRangeError(f"basis index {k} outside 1..{len(zeros)}")
-    if n_terms is None:
-        n_terms = default_truncation(phi)
-    n_terms = int(n_terms)
-    if n_terms < 1:
-        raise ValueError("n_terms must be positive")
-    if n_terms > MAX_TRUNCATION:
-        raise TruncationInsufficientError(f"truncation {n_terms} exceeds {MAX_TRUNCATION}")
-    coeffs = _kernel_series(zeros[k - 1], n_terms)
-    for z in zeros[: k - 1]:
-        coeffs = np.convolve(coeffs, _factor_series(z, n_terms))[:n_terms]
+    n_terms = _checked_truncation(phi, n_terms)
+    coeffs = _takenaka_rows(zeros[:k], n_terms)[-1]
     return TaylorSeries(coeffs, _tail_bound(zeros[: k - 1], zeros[k - 1], n_terms))

@@ -14,9 +14,9 @@ import sys
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct
+from .blaschke import BlaschkeProduct, poisson_kernel, real_part_symbol
 from .errors import NumrangeError
-from .kms import kms_eigenvalues, kms_matrix, kms_root_system, real_part_spectrum
+from .kms import kms_matrix, kms_root_system
 from .linalg import hermitian_eig
 from .model_operator import compress_shift_adjoint
 from .numerical_range import boundary, numerical_radius
@@ -183,9 +183,9 @@ def cmd_poncelet(args) -> tuple[RunReport, int]:
 
 def cmd_kms(args) -> tuple[RunReport, int]:
     system = kms_root_system(args.alpha, args.n)
-    analytic = kms_eigenvalues(args.alpha, args.n)
+    analytic = poisson_kernel(system.alpha, system.roots)
     dense = hermitian_eig(kms_matrix(args.alpha, args.n)).values[::-1]
-    spectrum = real_part_spectrum(args.alpha, args.n)
+    spectrum = real_part_symbol(system.alpha, system.roots)
     results = {
         "roots": list(system.roots),
         "brackets": [list(b) for b in system.brackets],

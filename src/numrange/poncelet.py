@@ -91,8 +91,11 @@ def unitary_dilation(t, phase: float) -> np.ndarray:
     of the dilations.  Unitarity is verified to ``UNITARITY_TOL``.
     """
     m = linalg.as_square(t)
-    u = _assemble(m, *_dilation_data(m), float(phase))
-    res = linalg.norm_inf(u.conj().T @ u - np.eye(m.shape[0] + 1))
+    return _checked_unitary(_assemble(m, *_dilation_data(m), float(phase)))
+
+
+def _checked_unitary(u: np.ndarray) -> np.ndarray:
+    res = linalg.norm_inf(u.conj().T @ u - np.eye(u.shape[0]))
     if res > UNITARITY_TOL:
         raise NumrangeError(f"dilation failed unitarity check, residual {res:.3e}")
     return u
@@ -188,13 +191,14 @@ def poncelet_polygon(t, vertex) -> PonceletPolygon:
     if abs(abs(lam) - 1.0) > 1e-9:
         raise ValueError(f"vertex must lie on the unit circle, got |v| = {abs(lam)}")
     c = linalg.determinant(m - lam * np.eye(n, dtype=np.complex128))
-    u_one = _assemble(m, *_dilation_data(m), 0.0)
+    data = _dilation_data(m)
+    u_one = _assemble(m, *data, 0.0)
     b = linalg.determinant(u_one - lam * np.eye(n + 1, dtype=np.complex128)) + lam * c
     if b == 0:
         raise PhaseSearchFailureError(
             f"no dilation phase places {lam}: det(U(1) - vertex I) + vertex C vanishes"
         )
-    u = unitary_dilation(m, cmath.phase(lam * c / b))
+    u = _checked_unitary(_assemble(m, *data, cmath.phase(lam * c / b)))
     eigs, _ = unitary_eigensystem(u)
     moduli = np.abs(eigs)
     if np.max(np.abs(moduli - 1.0)) > 1e-10:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .blaschke import BlaschkeProduct, takenaka_taylor
+from .blaschke import MAX_TRUNCATION, BlaschkeProduct, _basis_tail_bound, takenaka_basis
 from .errors import (
     CommonZeroError,
     DuplicateZeroError,
@@ -33,27 +33,10 @@ GRAM_TAIL_TARGET = 1e-10
 COMMON_ZERO_TOL = 1e-12
 
 
-def _basis_matrix(phi: BlaschkeProduct, n_terms: int) -> tuple[np.ndarray, float]:
-    rows = [takenaka_taylor(phi, k, n_terms) for k in range(1, phi.degree + 1)]
-    coeffs = np.vstack([r.coeffs for r in rows])
-    return coeffs, max(r.truncation_error_bound for r in rows)
-
-
 def _auto_truncation(phi1: BlaschkeProduct, phi2: BlaschkeProduct) -> int:
-    from .blaschke import MAX_TRUNCATION, _tail_bound
-
     n_terms = 32
     while n_terms <= MAX_TRUNCATION:
-        worst = 0.0
-        for phi in (phi1, phi2):
-            zeros = phi.zeros()
-            worst = max(
-                worst,
-                max(
-                    _tail_bound(zeros[: k - 1], zeros[k - 1], n_terms)
-                    for k in range(1, len(zeros) + 1)
-                ),
-            )
+        worst = max(_basis_tail_bound(phi.zeros(), n_terms) for phi in (phi1, phi2))
         if worst < GRAM_TAIL_TARGET:
             return n_terms
         n_terms *= 2
@@ -74,8 +57,8 @@ def cross_gram(
     """
     if n_terms is None:
         n_terms = _auto_truncation(phi1, phi2)
-    c1, tail1 = _basis_matrix(phi1, int(n_terms))
-    c2, tail2 = _basis_matrix(phi2, int(n_terms))
+    c1, tail1 = takenaka_basis(phi1, n_terms)
+    c2, tail2 = takenaka_basis(phi2, n_terms)
     if max(tail1, tail2) >= GRAM_TAIL_TARGET:
         raise TruncationInsufficientError(
             f"truncation {n_terms} leaves tail {max(tail1, tail2):.3e}"

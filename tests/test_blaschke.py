@@ -10,6 +10,7 @@ from numrange.blaschke import (
     evaluate,
     poisson_kernel,
     real_part_symbol,
+    takenaka_basis,
     takenaka_taylor,
 )
 from numrange.errors import (
@@ -141,6 +142,36 @@ def test_takenaka_index_out_of_range():
 def test_takenaka_truncation_cap():
     with pytest.raises(TruncationInsufficientError):
         takenaka_taylor(BlaschkeProduct.monomial(2), 1, 10**6)
+
+
+def _reference_row(zeros, k, n_terms):
+    """Row k (0-based) convolved factor by factor, as in the definition."""
+    z = zeros[k]
+    row = math.sqrt(1.0 - abs(z) ** 2) * z.conjugate() ** np.arange(n_terms)
+    for w in zeros[:k]:
+        factor = np.empty(n_terms, dtype=complex)
+        factor[0] = -w
+        factor[1:] = (1.0 - abs(w) ** 2) * w.conjugate() ** np.arange(n_terms - 1)
+        row = np.convolve(row, factor)[:n_terms]
+    return row
+
+
+def test_takenaka_basis_matches_row_by_row_convolution():
+    rng = np.random.default_rng(11)
+    products = [random_product(rng, max_mult=3, max_mod=0.9) for _ in range(12)]
+    products.append(BlaschkeProduct(((0.5j, 2), (-0.3, 1), (0.5j, 1))))
+    for phi in products:
+        zeros = phi.zeros()
+        rows, tail = takenaka_basis(phi, 200)
+        for k in range(len(zeros)):
+            reference = _reference_row(zeros, k, 200)
+            if len(phi.factors) == 1:
+                # one zero: the same convolutions in the same order
+                assert np.array_equal(rows[k], reference)
+            else:
+                assert np.max(np.abs(rows[k] - reference)) <= 64 * np.finfo(float).eps
+        tails = [takenaka_taylor(phi, k, 200).truncation_error_bound for k in range(1, len(zeros) + 1)]
+        assert tail == max(tails)
 
 
 def test_default_truncation_rule():

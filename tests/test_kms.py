@@ -6,6 +6,7 @@ import pytest
 from numrange.blaschke import poisson_kernel, real_part_symbol
 from numrange.errors import AlphaOutOfRangeError, TOutOfRangeError
 from numrange.kms import (
+    BISECTION_WIDTH,
     eigenvalue_equation,
     kms_eigenvalues,
     kms_matrix,
@@ -121,6 +122,44 @@ def test_root_residuals():
             t = solve_root(alpha, n, k)
             assert abs(parity_equation(alpha, n, k, t)) < 1e-11
             assert abs(eigenvalue_equation(alpha, n, t)) < 1e-9
+
+
+ARRAY_ALPHAS = (0.01, 0.3, 0.5, 0.9, 0.99)
+ARRAY_DEGREES = (1, 2, 3, 8, 57, 128)
+
+
+@pytest.mark.parametrize("n", ARRAY_DEGREES)
+def test_root_system_matches_scalar_solver(n):
+    for alpha in ARRAY_ALPHAS:
+        roots = kms_root_system(alpha, n).roots
+        scalar = [solve_root(alpha, n, k) for k in range(1, n + 1)]
+        assert np.max(np.abs(roots - scalar)) <= 1e-13
+
+
+def test_root_system_at_zero_is_grid():
+    for n in ARRAY_DEGREES:
+        roots = kms_root_system(0.0, n).roots
+        assert roots.tolist() == [k * math.pi / (n + 1) for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n", (*ARRAY_DEGREES, 1000))
+def test_root_system_sign_change_certificates(n):
+    half = 0.5 * BISECTION_WIDTH
+    for alpha in ARRAY_ALPHAS:
+        system = kms_root_system(alpha, n)
+        for k, (t, (lo, hi)) in enumerate(zip(system.roots, system.brackets), start=1):
+            left = parity_equation(alpha, n, k, max(t - half, lo))
+            right = parity_equation(alpha, n, k, min(t + half, hi))
+            assert left * right <= 0.0
+
+
+@pytest.mark.parametrize("n", (256, 512))
+def test_eigenvalues_match_dense_solver_at_large_degree(n):
+    # the per-root bisection failed its residual checks for most alpha here
+    for alpha in np.arange(1, 20) * 0.05:
+        analytic = kms_eigenvalues(alpha, n)
+        dense = np.linalg.eigvalsh(kms_matrix(alpha, n))[::-1]
+        assert np.max(np.abs(analytic - dense)) <= 1e-9
 
 
 def test_eigenvalues_at_zero():
