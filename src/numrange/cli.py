@@ -9,6 +9,7 @@ byte-identical output.  Exit codes: 0 success, 1 certification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -286,7 +287,9 @@ def _add_operator_args(sub) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``numrange`` parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="numrange",
         description="Numerical ranges of compressed shifts for finite Blaschke products",

@@ -14,7 +14,8 @@ class NonHermitianError(NumrangeError):
 
 
 class SingularMatrixError(NumrangeError):
-    """An LU pivot fell below the singularity threshold."""
+    """A matrix was too ill-conditioned to solve with: its reciprocal
+    condition number fell to the singularity threshold."""
 
 
 class AlphaOutOfRangeError(NumrangeError):

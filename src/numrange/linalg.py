@@ -1,8 +1,9 @@
 """Dense complex linear algebra kernel.
 
-Hermitian eigendecomposition, partial-pivot LU solves and singular values
-for small dense matrices (up to a few hundred rows).  All operations are
-pure: inputs are never mutated and results depend only on the inputs.
+Hermitian eigendecomposition, condition-checked solves, determinants and
+singular values for small dense matrices (up to a few hundred rows), all
+through numpy's LAPACK bindings.  All operations are pure: inputs are never
+mutated and results depend only on the inputs.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from .errors import NonHermitianError, NonSquareError, SingularMatrixError
 
 # Relative tolerance for accepting a matrix as Hermitian.
 HERMITIAN_TOL = 1e-12
-# Relative pivot threshold below which a solve reports singularity.
-PIVOT_THRESHOLD = 1e-12
+# Reciprocal 2-norm condition number at or below which a solve reports
+# singularity.
+RCOND_THRESHOLD = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
@@ -70,58 +72,22 @@ def hermitian_eig(h) -> HermitianEig:
     return HermitianEig(values=w, vectors=v)
 
 
-def _lu(a: np.ndarray, threshold: float | None):
-    """Partial-pivot LU.  Returns (packed LU, permutation, swaps, zero flag).
-
-    With ``threshold=None`` an exactly zero pivot sets the zero flag and
-    stops (the determinant is then zero); otherwise pivots at or below
-    ``threshold`` times the largest entry of ``a`` raise.
-    """
-    lu = a.copy()
-    n = lu.shape[0]
-    perm = np.arange(n)
-    scale = float(np.abs(lu).max()) if lu.size else 0.0
-    swaps = 0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        piv = lu[p, k]
-        if threshold is not None and abs(piv) <= threshold * scale:
-            raise SingularMatrixError(
-                f"pivot {abs(piv):.3e} at column {k} below threshold"
-            )
-        if threshold is None and piv == 0:
-            return lu, perm, swaps, True
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            swaps += 1
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, perm, swaps, False
-
-
 def solve(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` by partial-pivot LU.
+    """Solve ``a @ x = b``.
 
     ``b`` may be a vector or a matrix of right-hand sides; the result has
-    the matching shape.  Raises SingularMatrixError when a pivot falls
-    below ``PIVOT_THRESHOLD`` relative to the largest entry of ``a``.
+    the matching shape.  Raises SingularMatrixError when the reciprocal
+    2-norm condition number of ``a`` is at most ``RCOND_THRESHOLD``.
     """
     m = as_square(a)
     rhs = np.asarray(b, dtype=np.complex128)
-    vector = rhs.ndim == 1
-    x = rhs[:, None] if vector else rhs
-    if x.ndim != 2 or x.shape[0] != m.shape[0]:
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != m.shape[0]:
         raise ValueError(f"shape mismatch: {m.shape} vs {rhs.shape}")
-    lu, perm, _, _ = _lu(m, PIVOT_THRESHOLD)
-    x = x[perm].astype(np.complex128)
-    n = m.shape[0]
-    for k in range(n):
-        x[k + 1 :] -= np.outer(lu[k + 1 :, k], x[k])
-    for k in range(n - 1, -1, -1):
-        x[k] /= lu[k, k]
-        x[:k] -= np.outer(lu[:k, k], x[k])
-    return x[:, 0] if vector else x
+    s = np.linalg.svd(m, compute_uv=False)
+    rcond = float(s[-1] / s[0]) if s[0] > 0.0 else 0.0
+    if rcond <= RCOND_THRESHOLD:
+        raise SingularMatrixError(f"reciprocal condition number {rcond:.3e} below threshold")
+    return np.linalg.solve(m, rhs)
 
 
 def rdiv(a, b) -> np.ndarray:
@@ -135,13 +101,8 @@ def inverse(a) -> np.ndarray:
 
 
 def determinant(a) -> complex:
-    """Determinant via LU.  Exact zero pivots return 0 instead of raising."""
-    m = as_square(a)
-    lu, _, swaps, zero = _lu(m, None)
-    if zero:
-        return 0j
-    det = complex(np.prod(np.diag(lu)))
-    return -det if swaps % 2 else det
+    """Determinant via LU.  An exactly singular matrix gives 0, not an error."""
+    return complex(np.linalg.det(as_square(a)))
 
 
 def singular_values(a) -> np.ndarray:

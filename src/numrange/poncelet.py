@@ -25,9 +25,6 @@ DEFECT_RANK_TOL = 1e-8
 UNITARITY_TOL = 1e-10
 VERTEX_MATCH_TOL = 1e-8
 VERTEX_DISTINCT_TOL = 1e-8
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# Re(U) eigenvalue gaps below this trigger the Cayley fallback.
-_DEGENERACY_GAP = 1e-7
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -102,57 +99,22 @@ def _checked_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def unitary_eigensystem(u) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a unitary matrix.
+    """Eigenvalues and unit eigenvectors (as columns) of a unitary matrix.
 
-    Primary path: eigenvectors of Re(U) refined by Rayleigh quotients,
-    valid when Re(U) has well-separated eigenvalues.  Otherwise the
-    spectrum is recovered from the Hermitian Cayley transform
-    -i (I + e^{i g} U)(I - e^{i g} U)^{-1} with a rotation g chosen to
-    keep the resolvent well conditioned.
+    A unitary matrix is normal, so every eigenvalue is perfectly
+    conditioned and one general eigensolve recovers the spectrum.  The
+    input must be unitary to 1e-8 (ValueError otherwise), and every
+    eigenpair must satisfy ||U v - w v|| <= 1e-8 (NumrangeError otherwise).
     """
     m = linalg.as_square(u)
     n = m.shape[0]
     if linalg.norm_inf(m.conj().T @ m - np.eye(n)) > 1e-8:
         raise ValueError("input is not unitary within tolerance")
-    if n == 1:
-        return np.array([complex(m[0, 0])]), np.eye(1, dtype=np.complex128)
-    eig = linalg.hermitian_eig(0.5 * (m + m.conj().T))
-    if float(np.min(np.diff(eig.values))) > _DEGENERACY_GAP:
-        vals = np.array([complex(np.vdot(eig.vectors[:, j], m @ eig.vectors[:, j])) for j in range(n)])
-        res = max(
-            float(np.linalg.norm(m @ eig.vectors[:, j] - vals[j] * eig.vectors[:, j]))
-            for j in range(n)
-        )
-        if res <= 1e-8:
-            return vals, eig.vectors
-    return _cayley_eigensystem(m)
-
-
-def _cayley_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = m.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    best_gamma, best_sep = 0.0, -1.0
-    for j in range(24):
-        gamma = 2.0 * math.pi * ((j * _GOLDEN) % 1.0)
-        sep = float(linalg.singular_values(eye - cmath.exp(1j * gamma) * m)[-1])
-        if sep > best_sep:
-            best_gamma, best_sep = gamma, sep
-        if sep > 0.5:
-            break
-    if best_sep < 1e-3:
-        raise NumrangeError("could not rotate the spectrum away from 1")
-    v = cmath.exp(1j * best_gamma) * m
-    cay = -1j * linalg.rdiv(eye + v, eye - v)
-    eig = linalg.hermitian_eig(0.5 * (cay + cay.conj().T))
-    phis = 2.0 * np.arctan2(1.0, eig.values)
-    vals = np.exp(1j * phis) * cmath.exp(-1j * best_gamma)
-    res = max(
-        float(np.linalg.norm(m @ eig.vectors[:, j] - vals[j] * eig.vectors[:, j]))
-        for j in range(n)
-    )
+    vals, vecs = np.linalg.eig(m)
+    res = float(np.max(np.linalg.norm(m @ vecs - vecs * vals, axis=0)))
     if res > 1e-8:
         raise NumrangeError(f"unitary eigensystem residual {res:.3e}")
-    return vals, eig.vectors
+    return vals, vecs
 
 
 @dataclass(frozen=True)

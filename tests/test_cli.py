@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from numrange.cli import main
+from numrange.cli import build_parser, main
 from numrange.report import RunReport, boundary_csv, boundary_svg
 from numrange.numerical_range import boundary
 from numrange.model_operator import shift_matrix
@@ -163,6 +163,18 @@ def test_byte_identical_reports(capsys):
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
     assert out1 == out2
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    # `--zero` appends, so a list left over from one call must not reach the next
+    first = ["poncelet", "--zero", "0.3,0", "--zero", "-0.2,0.4", "--vertex", "0,1"]
+    second = ["poncelet", "--zero", "0.5,-0.1:2", "--vertex", "1,0"]
+    shared = [run_cli(capsys, *argv) for argv in (first, second)]
+    for argv, result in zip((first, second), shared):
+        build_parser.cache_clear()
+        assert run_cli(capsys, *argv) == result
+        assert result[0] == 0
+    assert shared[0][1] != shared[1][1]
 
 
 def test_report_roundtrip_is_byte_identical():

@@ -103,9 +103,22 @@ def test_solve_vector_rhs():
     assert np.allclose(a @ x, b, atol=1e-12)
 
 
-def test_solve_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        solve([[1.0, 1.0], [1.0, 1.0]], np.eye(2))
+@pytest.mark.parametrize(
+    "corner, singular",
+    [
+        pytest.param(1.0, True, id="exact"),
+        pytest.param(1.0 + 1e-13, True, id="near"),
+        pytest.param(1.0 + 1e-11, False, id="regular"),
+    ],
+)
+def test_solve_singular_raises(corner, singular):
+    a = [[1.0, 1.0], [1.0, corner]]
+    if singular:
+        with pytest.raises(SingularMatrixError):
+            solve(a, np.eye(2))
+    else:
+        x = solve(a, np.eye(2))
+        assert np.all(np.isfinite(x))
 
 
 def test_solve_roundtrip_random():

@@ -6,7 +6,7 @@ import pytest
 
 from numrange.blaschke import BlaschkeProduct
 from numrange.errors import NotRankOneError, PhaseSearchFailureError
-from numrange.linalg import norm_inf
+from numrange.linalg import determinant, norm_inf
 from numrange.model_operator import compress_shift_adjoint, shift_matrix, single_zero_matrix
 from numrange.poncelet import (
     circumscription_check,
@@ -87,8 +87,6 @@ def test_unitary_eigensystem_residuals():
             assert np.linalg.norm(u @ vecs[:, k] - vals[k] * vecs[:, k]) < 1e-8
         for v in vals:
             # determinant residual cross-check
-            from numrange.linalg import determinant
-
             assert abs(determinant(u - v * np.eye(n + 1))) < 1e-8
 
 
