@@ -74,10 +74,6 @@ class BlaschkeProduct:
         """The product z**n."""
         return cls.single_zero(0.0, n)
 
-    @classmethod
-    def from_zeros(cls, zeros) -> "BlaschkeProduct":
-        return cls(tuple((complex(z), 1) for z in zeros))
-
     @property
     def degree(self) -> int:
         return sum(m for _, m in self.factors)
@@ -146,9 +142,6 @@ class TaylorSeries:
 
     coeffs: np.ndarray
     truncation_error_bound: float
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
 
     def inner(self, other: "TaylorSeries") -> complex:
         n = min(len(self.coeffs), len(other.coeffs))

@@ -9,22 +9,24 @@ byte-identical output.  Exit codes: 0 success, 1 certification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import itertools
 import math
 import sys
 
 import numpy as np
 
 from .blaschke import BlaschkeProduct, poisson_kernel, real_part_symbol
-from .errors import NumrangeError
+from .errors import DuplicateZeroError, NumrangeError
 from .kms import kms_matrix, kms_root_system
 from .linalg import hermitian_eig
 from .model_operator import compress_shift_adjoint
 from .numerical_range import boundary, numerical_radius
-from .poncelet import circumscription_check, edge_support_gaps, poncelet_polygon
+from .poncelet import edge_support_gaps, poncelet_polygon
 from .radius import radius_closed_form, radius_single_zero
 from .report import RunReport, boundary_csv, boundary_svg
-from .subspaces import radius_estimate, sin_angle_lower_bound, subspace_cos_angle
+from .subspaces import RadiusEstimate, radius_estimate
 from .verify import SUITES, TOLERANCES
 
 EXIT_OK = 0
@@ -32,6 +34,9 @@ EXIT_CERTIFICATION = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
+
+# boundary angles drawn under a `poncelet --svg` polygon
+POLYGON_SVG_GRID = 256
 
 
 def _complex_arg(text: str) -> complex:
@@ -70,6 +75,10 @@ def _phi_inputs(phi: BlaschkeProduct) -> dict:
     return {"zeros": [[z.real, z.imag, m] for z, m in phi.factors], "degree": phi.degree}
 
 
+def _estimate_results(est: RadiusEstimate) -> dict:
+    return {"rho": est.rho, "delta": est.delta, "applicable": est.applicable, "bound": est.bound}
+
+
 def cmd_radius(args) -> tuple[RunReport, int]:
     phi = _phi_from_args(args)
     op = compress_shift_adjoint(phi)
@@ -89,19 +98,11 @@ def cmd_radius(args) -> tuple[RunReport, int]:
             results["closed_form_radius"] = closed
             agreement["closed_vs_formula"] = abs(closed - formula)
     else:
-        zs = [z for z, _ in phi.factors]
-        distinct = all(
-            abs(zs[i] - zs[j]) > 1e-12 for i in range(len(zs)) for j in range(i + 1, len(zs))
-        )
-        if distinct:
-            factors = [BlaschkeProduct.single_zero(z, m) for z, m in phi.factors]
-            est = radius_estimate(factors)
-            results["estimate"] = {
-                "rho": est.rho,
-                "delta": est.delta,
-                "applicable": est.applicable,
-                "bound": est.bound,
-            }
+        factors = [BlaschkeProduct.single_zero(z, m) for z, m in phi.factors]
+        try:
+            results["estimate"] = _estimate_results(radius_estimate(factors))
+        except DuplicateZeroError:
+            pass
     if agreement:
         results["agreement"] = agreement
     inputs = _phi_inputs(phi)
@@ -160,19 +161,18 @@ def cmd_poncelet(args) -> tuple[RunReport, int]:
     op = compress_shift_adjoint(phi)
     polygon = poncelet_polygon(op.matrix, args.vertex)
     gaps = edge_support_gaps(polygon, op.matrix)
-    max_violation = circumscription_check(polygon, op.matrix, grid_size=args.grid)
     results = {
         "vertices": list(polygon.vertices),
         "edge_gaps": list(gaps),
-        "max_violation": max_violation,
+        "max_violation": float(np.max(gaps)),
         "svg": args.svg,
     }
     if args.svg:
-        sample = boundary(op.matrix, grid_size=max(args.grid, 64))
+        sample = boundary(op.matrix, grid_size=POLYGON_SVG_GRID)
         with open(args.svg, "w", encoding="ascii") as fh:
             fh.write(boundary_svg(sample, polygon))
     inputs = _phi_inputs(phi)
-    inputs.update({"vertex": args.vertex, "grid": args.grid})
+    inputs["vertex"] = args.vertex
     report = RunReport(
         command="poncelet",
         inputs=inputs,
@@ -208,30 +208,15 @@ def cmd_angles(args) -> tuple[RunReport, int]:
     if not args.zero or len(args.zero) < 2:
         raise ValueError("need at least two --zero factors")
     factors = [BlaschkeProduct.single_zero(z, m) for z, m in args.zero]
-    pairs = []
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            rep = subspace_cos_angle(factors[i], factors[j])
-            pairs.append(
-                {
-                    "i": i,
-                    "j": j,
-                    "cos_angle": rep.cos_angle,
-                    "sin_angle": rep.sin_angle,
-                    "sin_lower_bound": sin_angle_lower_bound(factors[i], factors[j]),
-                    "truncation": rep.truncation,
-                }
-            )
     est = radius_estimate(factors)
     proxy = radius_estimate(factors, rho_mode="f-proxy")
+    pairs = [
+        {"i": i, "j": j, **dataclasses.asdict(rep)}
+        for (i, j), rep in zip(itertools.combinations(range(len(factors)), 2), est.angles)
+    ]
     results = {
         "pairs": pairs,
-        "estimate": {
-            "rho": est.rho,
-            "delta": est.delta,
-            "applicable": est.applicable,
-            "bound": est.bound,
-        },
+        "estimate": _estimate_results(est),
         "estimate_proxy": {
             "rho": proxy.rho,
             "applicable": proxy.applicable,
@@ -314,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poncelet", help="circumscribing polygon through a vertex")
     _add_operator_args(p)
     p.add_argument("--vertex", type=_complex_arg, required=True)
-    p.add_argument("--grid", type=int, default=256)
     p.add_argument("--svg", help="write a static SVG plot here")
     p.set_defaults(func=cmd_poncelet)
 

@@ -6,7 +6,8 @@ there is a dilation whose spectrum contains it; the spectrum then forms a
 polygon inscribed in the circle whose edges are tangent to the boundary
 of the numerical range.  This module builds the dilations, selects the
 phase placing a prescribed vertex in closed form, extracts the unitary
-spectrum, and certifies the tangency.
+spectrum, and certifies the tangency by comparing each edge's offset with
+the support function of W(T) along the edge's outward normal.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotRankOneError, NumrangeError, PhaseSearchFailureError
-from .numerical_range import boundary, support_sweep
+from .numerical_range import support_sweep
 
 DEFECT_RANK_TOL = 1e-8
 UNITARITY_TOL = 1e-10
@@ -201,20 +202,13 @@ def edge_support_gaps(polygon, t) -> np.ndarray:
     return support_sweep(t, np.angle(normals)) - np.array(offsets)
 
 
-def circumscription_check(polygon, t, grid_size: int = 512) -> float:
+def circumscription_check(polygon, t) -> float:
     """Largest signed violation of the circumscription property.
 
-    Combines the support-function gap of every edge with the signed
-    distance of sampled boundary points beyond each edge line; a Poncelet
-    polygon yields a value of order rounding error, a shrunk polygon a
-    positive value, a non-tangent enclosing polygon a negative one.
+    The polygon is the intersection of its edge half-planes, so it contains
+    W(T) with every edge tangent exactly when the largest edge support gap
+    (see :func:`edge_support_gaps`) is zero.  A Poncelet polygon yields a
+    value of order rounding error, a shrunk polygon a positive value, a
+    non-tangent enclosing polygon a negative one.
     """
-    verts = polygon.vertices if isinstance(polygon, PonceletPolygon) else polygon
-    verts = np.asarray(verts, dtype=np.complex128)
-    gaps = edge_support_gaps(verts, t)
-    pts = boundary(t, grid_size).points_complex()
-    worst = float(np.max(gaps))
-    for normal, offset in _edges(verts):
-        outside = float(np.max((pts * normal.conjugate()).real) - offset)
-        worst = max(worst, outside)
-    return worst
+    return float(np.max(edge_support_gaps(polygon, t)))

@@ -137,7 +137,9 @@ class RadiusEstimate(NamedTuple):
     """Outcome of the separated-zeros radius estimate.
 
     ``bound`` is only meaningful when ``applicable`` is true, that is when
-    rho < (1 - delta) / (2 (p - 1)); it is None otherwise.
+    rho < (1 - delta) / (2 (p - 1)); it is None otherwise.  ``angles``
+    holds the :class:`AngleReport` of every factor pair (i, j), i < j, in
+    lexicographic order when rho is numeric, and is empty for the proxy.
     """
 
     rho: float
@@ -145,6 +147,7 @@ class RadiusEstimate(NamedTuple):
     applicable: bool
     bound: float | None
     p: int
+    angles: tuple[AngleReport, ...] = ()
 
 
 def g_bound(rho: float, delta: float, p: int) -> float:
@@ -178,13 +181,17 @@ def radius_estimate(
                 raise DuplicateZeroError(f"factors {i} and {j} share the zero {singles[i][0]}")
     delta = max(radius_single_zero(z, m) for z, m in singles)
     rho = 0.0
+    angles = []
     for i in range(p):
         for j in range(i + 1, p):
             if rho_mode == "numeric":
-                rho = max(rho, subspace_cos_angle(factors[i], factors[j], n_terms).cos_angle)
+                angles.append(subspace_cos_angle(factors[i], factors[j], n_terms))
+                rho = max(rho, angles[-1].cos_angle)
             else:
                 b = sin_angle_lower_bound(factors[i], factors[j])
                 rho = max(rho, math.sqrt(max(0.0, 1.0 - b)))
     applicable = rho < (1.0 - delta) / (2.0 * (p - 1))
     bound = g_bound(rho, delta, p) if applicable else None
-    return RadiusEstimate(rho=rho, delta=delta, applicable=applicable, bound=bound, p=p)
+    return RadiusEstimate(
+        rho=rho, delta=delta, applicable=applicable, bound=bound, p=p, angles=tuple(angles)
+    )

@@ -21,9 +21,9 @@ from .inequalities import (
 )
 from .model_operator import compress_shift_adjoint, shift_adjoint_matrix, single_zero_matrix
 from .numerical_range import numerical_radius
-from .poncelet import circumscription_check, edge_support_gaps, poncelet_polygon
+from .poncelet import edge_support_gaps, poncelet_polygon
 from .radius import radius_closed_form, radius_single_zero
-from .subspaces import radius_estimate, sin_angle_lower_bound, subspace_cos_angle
+from .subspaces import radius_estimate
 
 TOLERANCES = {
     "radius_agreement": 1e-9,
@@ -113,7 +113,7 @@ def poncelet_suite(trials: int = 32, seed: int = 0) -> SuiteResult:
                 vert_gap = float(np.min(np.abs(verts - np.roll(verts, 1))))
                 lam_err = float(np.min(np.abs(verts - lam)))
                 gaps = edge_support_gaps(poly, t)
-                max_violation = circumscription_check(poly, t, grid_size=256)
+                max_violation = float(np.max(gaps))
                 rec = {
                     "n": n, "alpha": a, "vertex_index": j,
                     "unit_modulus_error": unit_err,
@@ -191,9 +191,9 @@ def angles_suite(trials: int = 50, seed: int = 3) -> SuiteResult:
         n1, n2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         phi1 = BlaschkeProduct.single_zero(z1, n1)
         phi2 = BlaschkeProduct.single_zero(z2, n2)
-        rep = subspace_cos_angle(phi1, phi2)
-        bound = sin_angle_lower_bound(phi1, phi2)
         est = radius_estimate([phi1, phi2])
+        (rep,) = est.angles
+        bound = rep.sin_lower_bound
         proxy = radius_estimate([phi1, phi2], rho_mode="f-proxy")
         product_radius = numerical_radius(compress_shift_adjoint(phi1 * phi2).matrix)
         n = n1 + n2

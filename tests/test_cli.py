@@ -1,12 +1,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from numrange.blaschke import BlaschkeProduct
 from numrange.cli import build_parser, main
 from numrange.report import RunReport, boundary_csv, boundary_svg
 from numrange.numerical_range import boundary
-from numrange.model_operator import shift_matrix
+from numrange.model_operator import compress_shift_adjoint, shift_matrix
+from numrange.poncelet import circumscription_check, edge_support_gaps, poncelet_polygon
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +43,14 @@ def test_radius_two_zero_product_has_estimate_block(capsys):
     assert "eigen_radius" in data["results"]
     est = data["results"]["estimate"]
     assert set(est) == {"rho", "delta", "applicable", "bound"}
+
+
+def test_radius_product_with_repeated_zero_has_no_estimate_block(capsys):
+    code, out, _ = run_cli(capsys, "radius", "--zero", "0.3,0", "--zero", "0.3,0:2")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert "eigen_radius" in results
+    assert "estimate" not in results
 
 
 def test_radius_rejects_zero_on_boundary(capsys):
@@ -122,6 +133,28 @@ def test_poncelet_subcommand(capsys):
     verts = [complex(re, im) for re, im in data["results"]["vertices"]]
     assert len(verts) == 3
     assert abs(data["results"]["max_violation"]) < 1e-6
+
+
+def test_poncelet_violation_is_exact_on_clustered_repeated_zeros(capsys):
+    # sampled boundary points once put max_violation at 1.78e-6 on these inputs
+    zeros = (
+        (0.8870054317715744 - 0.07756944876629955j, 1),
+        (0.3344896397789011 + 0.8195982969167099j, 3),
+        (-0.6511555361260958 - 0.5717760354688303j, 2),
+    )
+    vertex = 0.6181054281918041 + 0.7860952102893303j
+    argv = ["poncelet", "--vertex", f"{vertex.real!r},{vertex.imag!r}"]
+    for z, m in zeros:
+        argv += ["--zero", f"{z.real!r},{z.imag!r}:{m}"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert abs(res["max_violation"]) <= 1e-9
+    assert res["max_violation"] == max(res["edge_gaps"])
+    t = compress_shift_adjoint(BlaschkeProduct(zeros)).matrix
+    poly = poncelet_polygon(t, vertex)
+    worst = circumscription_check(poly, t)
+    assert worst == float(np.max(edge_support_gaps(poly, t))) == res["max_violation"]
 
 
 def test_kms_subcommand(capsys):

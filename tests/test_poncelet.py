@@ -115,22 +115,30 @@ def test_polygon_for_imaginary_vertex():
 def test_circumscription_of_true_polygon():
     t = shift_matrix(2)
     poly = poncelet_polygon(t, 1.0)
-    assert abs(circumscription_check(poly, t, grid_size=256)) < 1e-9
+    assert abs(circumscription_check(poly, t)) < 1e-9
     # edges of the equilateral triangle are tangent to the circle of radius 1/2
     gaps = edge_support_gaps(poly, t)
     assert np.max(np.abs(gaps)) < 1e-9
 
 
-def test_circumscription_detects_shrunk_polygon():
-    t = shift_matrix(2)
+@pytest.mark.parametrize(
+    "t, shrink, low, high",
+    [
+        (shift_matrix(2), 0.9, 0.01, math.inf),
+        # a non-circular range: a violation ten times below the tolerance is resolved
+        (single_zero_matrix(0.5, 3).matrix, 1.0 - 1e-7, 0.0, 1e-6),
+    ],
+    ids=["circle", "non-circular-tiny"],
+)
+def test_circumscription_detects_shrunk_polygon(t, shrink, low, high):
     poly = poncelet_polygon(t, 1.0)
-    assert circumscription_check(0.9 * poly.vertices, t, grid_size=128) > 0.01
+    assert low < circumscription_check(shrink * poly.vertices, t) < high
 
 
 def test_circumscription_detects_slack_polygon():
     t = shift_matrix(2)
     square = np.exp(2j * math.pi * np.arange(4) / 4)
-    assert circumscription_check(square, t, grid_size=128) < -0.01
+    assert circumscription_check(square, t) < -0.01
 
 
 def test_product_sweeps_stay_tangent():
@@ -145,7 +153,7 @@ def test_product_sweeps_stay_tangent():
             lam = cmath.exp(2j * math.pi * j / 32)
             poly = poncelet_polygon(t, lam)
             assert len(poly) == phi.degree + 1
-            assert abs(circumscription_check(poly, t, grid_size=256)) < 1e-6
+            assert abs(circumscription_check(poly, t)) < 1e-6
 
 
 def test_rejects_vertex_off_circle():

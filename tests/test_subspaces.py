@@ -105,6 +105,17 @@ def test_estimate_of_two_scalar_factors():
     assert est.bound is None
 
 
+def test_estimate_keeps_every_pair_angle():
+    factors = [single(0.5 + 0.2j, 2), single(-0.4 + 0.1j, 3), single(0.1 - 0.6j), single(-0.2j, 2)]
+    est = radius_estimate(factors)
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    assert est.angles == tuple(subspace_cos_angle(factors[i], factors[j]) for i, j in pairs)
+    assert est.rho == max(rep.cos_angle for rep in est.angles)
+    for (i, j), rep in zip(pairs, est.angles):
+        assert rep.sin_lower_bound == sin_angle_lower_bound(factors[i], factors[j])
+    assert radius_estimate(factors, rho_mode="f-proxy").angles == ()
+
+
 def test_estimate_duplicate_zero_rejected():
     with pytest.raises(DuplicateZeroError):
         radius_estimate([single(0.3), single(0.3, 2)])
