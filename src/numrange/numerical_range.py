@@ -32,19 +32,44 @@ def _hermitian_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (m + m.conj().T), -0.5j * (m - m.conj().T)
 
 
-def support_sweep(t, thetas) -> np.ndarray:
-    """Largest eigenvalue of Re(e^{-i theta} T) at each angle of ``thetas``,
-    from one ``eigvalsh`` call per stacked block of ``ENTRIES`` entries."""
-    re_t, im_t = _hermitian_parts(linalg.as_square(t))
+def _spectrum_ends(re_t, im_t, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalue of Re(e^{-i theta} T) at each angle of
+    ``thetas``, from one ``eigvalsh`` call per stacked block of ``ENTRIES``
+    entries."""
     thetas = np.asarray(thetas, dtype=np.float64).reshape(-1)
     cos_t = np.cos(thetas)[:, None, None]
     sin_t = np.sin(thetas)[:, None, None]
     block = max(1, ENTRIES // re_t.size)
-    out = np.empty(len(thetas))
+    bottom, top = np.empty(len(thetas)), np.empty(len(thetas))
     for i in range(0, len(thetas), block):
         stack = cos_t[i : i + block] * re_t + sin_t[i : i + block] * im_t
-        out[i : i + block] = np.linalg.eigvalsh(stack)[:, -1]
-    return out
+        vals = np.linalg.eigvalsh(stack)
+        bottom[i : i + block], top[i : i + block] = vals[:, 0], vals[:, -1]
+    return bottom, top
+
+
+def support_sweep(t, thetas) -> np.ndarray:
+    """Largest eigenvalue of Re(e^{-i theta} T) at each angle of ``thetas``,
+    from one ``eigvalsh`` call per stacked block of ``ENTRIES`` entries."""
+    return _spectrum_ends(*_hermitian_parts(linalg.as_square(t)), thetas)[1]
+
+
+def _uniform_support(re_t, im_t, grid_size, minimum: int) -> tuple[np.ndarray, np.ndarray]:
+    """Angles theta_k = 2 pi k / N and the support function there, for an
+    even N of at least ``minimum``, from N/2 eigensolves.
+
+    Re(e^{-i(theta + pi)} T) = -Re(e^{-i theta} T), so the largest eigenvalue
+    at theta_{k + N/2} = theta_k + pi is minus the smallest one at theta_k:
+    one sweep over the first half of the grid gives both halves.
+    """
+    grid_size = int(grid_size)
+    if grid_size < minimum:
+        raise ValueError(f"grid_size must be at least {minimum}")
+    if grid_size % 2:
+        raise ValueError(f"grid_size must be even, got {grid_size}")
+    thetas = 2.0 * math.pi * np.arange(grid_size) / grid_size
+    bottom, top = _spectrum_ends(re_t, im_t, thetas[: grid_size // 2])
+    return thetas, np.concatenate([top, -bottom])
 
 
 def support_function(t, theta: float) -> float:
@@ -76,7 +101,10 @@ class BoundarySample:
 
 
 def boundary(t, grid_size: int = DEFAULT_BOUNDARY_GRID) -> BoundarySample:
-    """Sample the boundary of W(T) on a uniform angle grid.
+    """Sample the boundary of W(T) on a uniform grid of ``grid_size`` angles
+    theta_k = 2 pi k / N.  N must be even and at least ``MIN_BOUNDARY_GRID``:
+    the support function comes from N/2 eigensolves, the largest eigenvalue
+    at theta_k and minus the smallest at theta_k + pi (:func:`_uniform_support`).
 
     Boundary points come from the envelope of supporting lines,
     x = s cos(theta) - s' sin(theta), y = s sin(theta) + s' cos(theta),
@@ -87,12 +115,8 @@ def boundary(t, grid_size: int = DEFAULT_BOUNDARY_GRID) -> BoundarySample:
     there.
     """
     m = linalg.as_square(t)
-    grid_size = int(grid_size)
-    if grid_size < MIN_BOUNDARY_GRID:
-        raise ValueError(f"grid_size must be at least {MIN_BOUNDARY_GRID}")
-    thetas = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    support = support_sweep(m, thetas)
-    h = 2.0 * math.pi / grid_size
+    thetas, support = _uniform_support(*_hermitian_parts(m), grid_size, MIN_BOUNDARY_GRID)
+    h = 2.0 * math.pi / len(thetas)
     lam_p = (np.roll(support, -1) - np.roll(support, 1)) / (2.0 * h)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     x = support * cos_t - lam_p * sin_t
@@ -120,6 +144,16 @@ def _support_derivatives(re_t, im_t, theta: float) -> tuple[float, float, float]
     return lam, slope, -lam + 2.0 * float(np.sum(np.abs(coupling[:-1]) ** 2 / gaps))
 
 
+def _bracket_slopes(re_t, im_t, lo: float, hi: float) -> np.ndarray:
+    """Support-function slopes v* Im(e^{-i theta} T) v at theta = lo and hi,
+    v the top eigenvector, from one ``eigh`` of the (2, n, n) stack."""
+    angles = np.array([lo, hi])
+    cos_t = np.cos(angles)[:, None, None]
+    sin_t = np.sin(angles)[:, None, None]
+    top = np.linalg.eigh(cos_t * re_t + sin_t * im_t)[1][:, :, -1]
+    return np.einsum("ki,kij,kj->k", top.conj(), cos_t * im_t - sin_t * re_t, top).real
+
+
 def numerical_radius(
     t,
     grid_size: int = DEFAULT_RADIUS_GRID,
@@ -128,11 +162,13 @@ def numerical_radius(
     """Numerical radius of T, the maximum of the support function over the
     angle (lambda_min(theta) = -lambda_max(theta + pi)).
 
-    One :func:`support_sweep` over a uniform grid locates the best cell and
-    safeguarded Newton on lambda' refines it, bisecting when the curvature
-    is not negative, the step leaves the bracket or the top eigenvalue is
-    nearly multiple.  When the cell's end slopes do not bracket a maximum
-    (a plateau or a kink) the grid maximum is returned; the result is never
+    The support function on a uniform grid of ``grid_size`` angles, from
+    ``grid_size / 2`` eigensolves (:func:`_uniform_support`), locates the
+    best cell.  One stacked ``eigh`` gives the slopes at both cell ends;
+    when they bracket a maximum, safeguarded Newton on lambda' refines it,
+    bisecting when the curvature is not negative, the step leaves the
+    bracket or the top eigenvalue is nearly multiple.  When they do not (a
+    plateau or a kink) the grid maximum is returned; the result is never
     below the grid maximum.
 
     Parameters
@@ -140,21 +176,17 @@ def numerical_radius(
     t : array_like
         Square complex matrix.
     grid_size : int
-        Number of coarse angles, at least ``MIN_RADIUS_GRID``.
+        Number of coarse angles, even and at least ``MIN_RADIUS_GRID``.
     refine_tol : float
         Angle tolerance of the Newton bracket and step.
     """
-    m = linalg.as_square(t)
-    grid_size = int(grid_size)
-    if grid_size < MIN_RADIUS_GRID:
-        raise ValueError(f"grid_size must be at least {MIN_RADIUS_GRID}")
-    thetas = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    support = support_sweep(m, thetas)
+    re_t, im_t = _hermitian_parts(linalg.as_square(t))
+    thetas, support = _uniform_support(re_t, im_t, grid_size, MIN_RADIUS_GRID)
     k = int(np.argmax(support))
-    best, x, h = float(support[k]), float(thetas[k]), 2.0 * math.pi / grid_size
+    best, x, h = float(support[k]), float(thetas[k]), 2.0 * math.pi / len(thetas)
     lo, hi = x - h, x + h
-    re_t, im_t = _hermitian_parts(m)
-    if not _support_derivatives(re_t, im_t, lo)[1] > 0.0 > _support_derivatives(re_t, im_t, hi)[1]:
+    slope_lo, slope_hi = _bracket_slopes(re_t, im_t, lo, hi)
+    if not slope_lo > 0.0 > slope_hi:
         return best
     while hi - lo > refine_tol and lo < x < hi:
         lam, slope, curv = _support_derivatives(re_t, im_t, x)

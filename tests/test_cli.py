@@ -102,6 +102,14 @@ def test_boundary_grid_too_small(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["radius", "boundary"])
+def test_odd_grid_is_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "--alpha", "0.4,0", "--n", "3", "--grid", "255")
+    assert code == 2
+    assert out == ""
+    assert "even" in err
+
+
 def test_boundary_svg_written(tmp_path, capsys):
     svg_path = tmp_path / "plot.svg"
     code, _, _ = run_cli(

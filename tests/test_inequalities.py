@@ -156,6 +156,25 @@ def test_haagerup_harpe_equality_for_shift():
         assert abs(check.margin) < 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_schwarz_pick_tight_for_shift_adjoint(n):
+    # the paper's equality case: lhs = rhs = radius_single_zero(|alpha|, n),
+    # so a numerical radius that comes out low fails here
+    t = NilpotentContraction(shift_adjoint_matrix(n), n)
+    for alpha in (0.0, 0.4, 0.3 + 0.5j, -0.7j):
+        assert abs(schwarz_pick_check(t, F_ID, alpha).margin) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_haagerup_harpe_tight_for_unitary_conjugates_of_scaled_shift(n):
+    rng = np.random.default_rng(n)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    for c in (1.0, 1.0 - rng.random()):
+        t = NilpotentContraction(c * u @ shift_matrix(n) @ u.conj().T, n)
+        assert abs(haagerup_harpe_check(t).margin) <= 1e-13
+
+
 def test_haagerup_harpe_homogeneity():
     t = NilpotentContraction(0.5 * shift_matrix(3), 3)
     check = haagerup_harpe_check(t)

@@ -12,6 +12,11 @@ from numrange.model_operator import (
     single_zero_matrix,
 )
 from numrange.numerical_range import (
+    MIN_BOUNDARY_GRID,
+    _bracket_slopes,
+    _hermitian_parts,
+    _support_derivatives,
+    _uniform_support,
     boundary,
     numerical_radius,
     rotated_real_part,
@@ -91,6 +96,8 @@ def test_boundary_points_inside_disc_for_contractions():
 def test_boundary_grid_guard():
     with pytest.raises(ValueError):
         boundary(np.eye(2), 4)
+    with pytest.raises(ValueError, match="even"):
+        boundary(np.eye(2), 2047)
 
 
 def test_radius_of_shift_closed_value():
@@ -109,6 +116,8 @@ def test_radius_of_single_zero_degree_two():
 def test_radius_grid_guard():
     with pytest.raises(ValueError):
         numerical_radius(np.eye(2), grid_size=32)
+    with pytest.raises(ValueError, match="even"):
+        numerical_radius(np.eye(2), grid_size=255)
 
 
 def test_radius_result_at_least_grid_max():
@@ -158,6 +167,29 @@ def test_support_sweep_matches_per_angle_eigvalsh(n, grid):
     thetas = 2 * math.pi * rng.random(grid)
     expected = [np.linalg.eigvalsh(rotated_real_part(a, th))[-1] for th in thetas]
     assert np.max(np.abs(support_sweep(a, thetas) - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("n, grid", [(1, 2048), (3, 2048), (64, 64)])
+def test_uniform_support_matches_support_sweep(n, grid):
+    # n = 3 needs several stacked blocks for 1024 angles; n = 64 has a block of one
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a /= spectral_norm(a)
+    thetas, support = _uniform_support(*_hermitian_parts(a), grid, MIN_BOUNDARY_GRID)
+    assert np.array_equal(thetas, 2 * math.pi * np.arange(grid) / grid)
+    assert np.max(np.abs(support - support_sweep(a, thetas))) < 1e-13
+
+
+def test_bracket_slopes_match_per_angle_derivatives():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 5, 12):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a /= spectral_norm(a)
+        re_t, im_t = _hermitian_parts(a)
+        for lo in 2 * math.pi * rng.random(3):
+            hi = lo + 4 * math.pi / 256
+            expected = [_support_derivatives(re_t, im_t, th)[1] for th in (lo, hi)]
+            assert np.max(np.abs(_bracket_slopes(re_t, im_t, lo, hi) - expected)) < 1e-13
 
 
 def test_model_operator_radius_strictly_between_polygon_floor_and_one():
