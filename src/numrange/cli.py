@@ -22,7 +22,7 @@ from .errors import DuplicateZeroError, NumrangeError
 from .kms import kms_matrix, kms_root_system
 from .linalg import hermitian_eig
 from .model_operator import compress_shift_adjoint
-from .numerical_range import boundary, numerical_radius
+from .numerical_range import DEFAULT_BOUNDARY_GRID, DEFAULT_RADIUS_GRID, boundary, numerical_radius
 from .poncelet import edge_support_gaps, poncelet_polygon
 from .radius import radius_closed_form, radius_single_zero
 from .report import RunReport, boundary_csv, boundary_svg
@@ -83,7 +83,7 @@ def cmd_radius(args) -> tuple[RunReport, int]:
     phi = _phi_from_args(args)
     op = compress_shift_adjoint(phi)
     n = op.n
-    eigen = numerical_radius(op.matrix, grid_size=args.grid, refine_tol=args.refine_tol)
+    eigen = numerical_radius(op.matrix, grid_size=args.grid)
     results: dict = {"degree": n, "eigen_radius": eigen}
     if n >= 2:
         results["polygon_floor"] = math.cos(math.pi / n)
@@ -106,7 +106,7 @@ def cmd_radius(args) -> tuple[RunReport, int]:
     if agreement:
         results["agreement"] = agreement
     inputs = _phi_inputs(phi)
-    inputs.update({"grid": args.grid, "refine_tol": args.refine_tol})
+    inputs["grid"] = args.grid
     report = RunReport(
         command="radius",
         inputs=inputs,
@@ -117,8 +117,6 @@ def cmd_radius(args) -> tuple[RunReport, int]:
 
 
 def cmd_boundary(args) -> tuple[RunReport, int]:
-    if args.grid < 64:
-        raise ValueError("--grid must be at least 64")
     phi = _phi_from_args(args)
     op = compress_shift_adjoint(phi)
     sample = boundary(op.matrix, grid_size=args.grid)
@@ -284,13 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radius", help="numerical radius by several methods")
     _add_operator_args(p)
-    p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--refine-tol", dest="refine_tol", type=float, default=1e-12)
+    p.add_argument("--grid", type=int, default=DEFAULT_RADIUS_GRID)
     p.set_defaults(func=cmd_radius)
 
     p = sub.add_parser("boundary", help="boundary of the numerical range")
     _add_operator_args(p)
-    p.add_argument("--grid", type=int, default=2048)
+    p.add_argument("--grid", type=int, default=DEFAULT_BOUNDARY_GRID)
     p.add_argument("--csv", help="write theta,lambda,x,y rows here")
     p.add_argument("--svg", help="write a static SVG plot here")
     p.add_argument("--vertex", type=_complex_arg, help="overlay the polygon through this unit-circle point")

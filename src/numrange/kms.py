@@ -76,12 +76,11 @@ def solve_root(alpha, n: int, k: int) -> float:
     x_{k-1} and x_k with x_j = j pi / (n+1), and located by bisection on
     the parity-selected half-angle equation, which changes sign across
     that interval for alpha in (0, 1).  At alpha = 0 the root is exactly
-    x_k.  Bisection runs until the bracket is narrower than
-    ``BISECTION_WIDTH``; the parity residual is verified afterwards.
+    x_k.  Bisection runs until the bracket is down to two adjacent floats,
+    so that its midpoint rounds to an endpoint, and returns that midpoint;
+    the parity and eigenvalue-equation residuals are verified afterwards.
     This is the solver for a single root (the radius formulas); the whole
-    system is solved by :func:`kms_root_system`.  The midpoint is off by
-    up to half of ``BISECTION_WIDTH``, enough to fail the residual checks
-    for most alpha at n >= 256.
+    system is solved by :func:`kms_root_system`.
     """
     a = _unit_interval(alpha)
     n = int(n)
@@ -100,16 +99,16 @@ def solve_root(alpha, n: int, k: int) -> float:
         raise BracketFailureError(
             f"no sign change on ({lo}, {hi}] for alpha={a}, n={n}, k={k}"
         )
-    while hi - lo > BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        f_mid = parity_equation(a, n, k, mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
     t = 0.5 * (lo + hi)
+    while lo < t < hi:
+        f_t = parity_equation(a, n, k, t)
+        if f_t == 0.0:
+            return t
+        if (f_t > 0.0) == (f_lo > 0.0):
+            lo, f_lo = t, f_t
+        else:
+            hi = t
+        t = 0.5 * (lo + hi)
     if abs(parity_equation(a, n, k, t)) > PARITY_RESIDUAL_TOL:
         raise BracketFailureError(f"parity residual too large at t={t}")
     if abs(eigenvalue_equation(a, n, t)) > EQUATION_RESIDUAL_TOL:

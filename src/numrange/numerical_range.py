@@ -12,12 +12,12 @@ from . import linalg
 
 DEFAULT_RADIUS_GRID = 256
 DEFAULT_BOUNDARY_GRID = 2048
-DEFAULT_REFINE_TOL = 1e-12
 MIN_RADIUS_GRID = 64
-MIN_BOUNDARY_GRID = 8
+MIN_BOUNDARY_GRID = 64
 # Matrix entries per stacked eigensolve; bounds the memory of support_sweep.
 ENTRIES = 4096
 _NEWTON_GAP = 1e-9  # relative top-eigenvalue gap below which the radius refinement bisects
+_REFINE_TOL = 1e-12  # angle tolerance of the radius refinement's bracket and Newton step
 
 
 def rotated_real_part(t, theta: float) -> np.ndarray:
@@ -154,11 +154,7 @@ def _bracket_slopes(re_t, im_t, lo: float, hi: float) -> np.ndarray:
     return np.einsum("ki,kij,kj->k", top.conj(), cos_t * im_t - sin_t * re_t, top).real
 
 
-def numerical_radius(
-    t,
-    grid_size: int = DEFAULT_RADIUS_GRID,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-) -> float:
+def numerical_radius(t, grid_size: int = DEFAULT_RADIUS_GRID) -> float:
     """Numerical radius of T, the maximum of the support function over the
     angle (lambda_min(theta) = -lambda_max(theta + pi)).
 
@@ -167,9 +163,10 @@ def numerical_radius(
     best cell.  One stacked ``eigh`` gives the slopes at both cell ends;
     when they bracket a maximum, safeguarded Newton on lambda' refines it,
     bisecting when the curvature is not negative, the step leaves the
-    bracket or the top eigenvalue is nearly multiple.  When they do not (a
-    plateau or a kink) the grid maximum is returned; the result is never
-    below the grid maximum.
+    bracket or the top eigenvalue is nearly multiple, until the bracket or
+    the step is below ``_REFINE_TOL``.  When they do not (a plateau or a
+    kink) the grid maximum is returned; the result is never below the grid
+    maximum.
 
     Parameters
     ----------
@@ -177,8 +174,6 @@ def numerical_radius(
         Square complex matrix.
     grid_size : int
         Number of coarse angles, even and at least ``MIN_RADIUS_GRID``.
-    refine_tol : float
-        Angle tolerance of the Newton bracket and step.
     """
     re_t, im_t = _hermitian_parts(linalg.as_square(t))
     thetas, support = _uniform_support(re_t, im_t, grid_size, MIN_RADIUS_GRID)
@@ -188,14 +183,14 @@ def numerical_radius(
     slope_lo, slope_hi = _bracket_slopes(re_t, im_t, lo, hi)
     if not slope_lo > 0.0 > slope_hi:
         return best
-    while hi - lo > refine_tol and lo < x < hi:
+    while hi - lo > _REFINE_TOL and lo < x < hi:
         lam, slope, curv = _support_derivatives(re_t, im_t, x)
         best = max(best, lam)
         if slope == 0.0:
             break
         lo, hi = (x, hi) if slope > 0.0 else (lo, x)
         newton = x - slope / curv if curv < 0.0 else math.nan
-        if abs(newton - x) <= refine_tol:
+        if abs(newton - x) <= _REFINE_TOL:
             break
         x = newton if lo < newton < hi else 0.5 * (lo + hi)
     return best

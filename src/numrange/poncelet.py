@@ -24,6 +24,10 @@ from .numerical_range import support_sweep
 
 DEFECT_RANK_TOL = 1e-8
 UNITARITY_TOL = 1e-10
+# unitarity of an eigensystem input and residual of each of its eigenpairs
+EIGENSYSTEM_TOL = 1e-8
+VERTEX_ON_CIRCLE_TOL = 1e-9
+UNIT_MODULUS_TOL = 1e-10
 VERTEX_MATCH_TOL = 1e-8
 VERTEX_DISTINCT_TOL = 1e-8
 
@@ -104,16 +108,17 @@ def unitary_eigensystem(u) -> tuple[np.ndarray, np.ndarray]:
 
     A unitary matrix is normal, so every eigenvalue is perfectly
     conditioned and one general eigensolve recovers the spectrum.  The
-    input must be unitary to 1e-8 (ValueError otherwise), and every
-    eigenpair must satisfy ||U v - w v|| <= 1e-8 (NumrangeError otherwise).
+    input must be unitary to ``EIGENSYSTEM_TOL`` (ValueError otherwise), and
+    every eigenpair must satisfy ||U v - w v|| <= ``EIGENSYSTEM_TOL``
+    (NumrangeError otherwise).
     """
     m = linalg.as_square(u)
     n = m.shape[0]
-    if linalg.norm_inf(m.conj().T @ m - np.eye(n)) > 1e-8:
+    if linalg.norm_inf(m.conj().T @ m - np.eye(n)) > EIGENSYSTEM_TOL:
         raise ValueError("input is not unitary within tolerance")
     vals, vecs = np.linalg.eig(m)
     res = float(np.max(np.linalg.norm(m @ vecs - vecs * vals, axis=0)))
-    if res > 1e-8:
+    if res > EIGENSYSTEM_TOL:
         raise NumrangeError(f"unitary eigensystem residual {res:.3e}")
     return vals, vecs
 
@@ -151,7 +156,7 @@ def poncelet_polygon(t, vertex) -> PonceletPolygon:
     if n < 2:
         raise ValueError("the polygon construction needs a matrix of size 2 or more")
     lam = complex(vertex)
-    if abs(abs(lam) - 1.0) > 1e-9:
+    if abs(abs(lam) - 1.0) > VERTEX_ON_CIRCLE_TOL:
         raise ValueError(f"vertex must lie on the unit circle, got |v| = {abs(lam)}")
     c = linalg.determinant(m - lam * np.eye(n, dtype=np.complex128))
     data = _dilation_data(m)
@@ -164,7 +169,7 @@ def poncelet_polygon(t, vertex) -> PonceletPolygon:
     u = _checked_unitary(_assemble(m, *data, cmath.phase(lam * c / b)))
     eigs, _ = unitary_eigensystem(u)
     moduli = np.abs(eigs)
-    if np.max(np.abs(moduli - 1.0)) > 1e-10:
+    if np.max(np.abs(moduli - 1.0)) > UNIT_MODULUS_TOL:
         raise PhaseSearchFailureError("dilation spectrum left the unit circle")
     order = np.argsort(np.angle(eigs) % (2.0 * math.pi))
     verts = eigs[order]

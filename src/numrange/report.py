@@ -12,30 +12,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 VERSION = "0.1.0"
+SVG_SIZE = 560  # width and height of the SVG plots, in user units
+# the unit circle's centre and radius in SVG user units
+_SVG_HALF = SVG_SIZE / 2.0
+_SVG_SCALE = 0.4 * SVG_SIZE
 
 
-def jsonable(value):
-    """Normalize numbers, complex values and arrays to JSON-ready data.
-
-    Complex numbers become [re, im] pairs; arrays become lists.
-    """
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
+def _json_default(value):
+    """``json.dumps`` hook for the values it cannot encode itself: complex
+    numbers become [re, im] pairs, arrays lists, numpy integers and bools
+    their Python counterparts."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
     if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
-    if isinstance(value, (complex, np.complexfloating)):
-        c = complex(value)
-        return [c.real, c.imag]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
+        return value.tolist()
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.bool_,)):
+    if isinstance(value, np.bool_):
         return bool(value)
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -52,12 +46,12 @@ class RunReport:
     def to_json(self) -> str:
         payload = {
             "command": self.command,
-            "inputs": jsonable(self.inputs),
-            "results": jsonable(self.results),
-            "tolerances": jsonable(self.tolerances),
+            "inputs": self.inputs,
+            "results": self.results,
+            "tolerances": self.tolerances,
             "version": self.version,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -79,37 +73,34 @@ def boundary_csv(sample) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _svg_coords(points, size: float) -> str:
+def _svg_coords(points) -> str:
     # map the complex plane to SVG user units, y axis flipped
-    half = size / 2.0
-    scale = 0.4 * size
     return " ".join(
-        f"{half + scale * p.real:.3f},{half - scale * p.imag:.3f}" for p in points
+        f"{_SVG_HALF + _SVG_SCALE * p.real:.3f},{_SVG_HALF - _SVG_SCALE * p.imag:.3f}"
+        for p in points
     )
 
 
-def boundary_svg(sample=None, polygon=None, size: int = 560) -> str:
+def boundary_svg(sample=None, polygon=None) -> str:
     """Static SVG of the unit circle, an optional boundary polyline and an
     optional polygon overlay."""
-    half = size / 2.0
-    scale = 0.4 * size
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<circle cx="{half}" cy="{half}" r="{scale}" fill="none" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<circle cx="{_SVG_HALF}" cy="{_SVG_HALF}" r="{_SVG_SCALE}" fill="none" '
         'stroke="#888888" stroke-width="1"/>',
     ]
     if sample is not None:
         pts = list(sample.points_complex())
         pts.append(pts[0])
         parts.append(
-            f'<polyline points="{_svg_coords(pts, size)}" fill="none" '
+            f'<polyline points="{_svg_coords(pts)}" fill="none" '
             'stroke="#0044cc" stroke-width="1.5"/>'
         )
     if polygon is not None:
         verts = getattr(polygon, "vertices", polygon)
         parts.append(
-            f'<polygon points="{_svg_coords(list(verts), size)}" fill="none" '
+            f'<polygon points="{_svg_coords(list(verts))}" fill="none" '
             'stroke="#cc2200" stroke-width="1"/>'
         )
     parts.append("</svg>")

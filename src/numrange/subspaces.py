@@ -81,9 +81,7 @@ class AngleReport:
     truncation: int
 
 
-def subspace_cos_angle(
-    phi1: BlaschkeProduct, phi2: BlaschkeProduct, n_terms: int | None = None
-) -> AngleReport:
+def subspace_cos_angle(phi1: BlaschkeProduct, phi2: BlaschkeProduct) -> AngleReport:
     """Angle between the model spaces of two Blaschke products.
 
     The cosine is the top singular value of :func:`cross_gram`, clamped to
@@ -94,8 +92,7 @@ def subspace_cos_angle(
         for z2, _ in phi2.factors:
             if abs(z1 - z2) < COMMON_ZERO_TOL:
                 raise CommonZeroError(f"shared zero at {z1}")
-    if n_terms is None:
-        n_terms = _auto_truncation(phi1, phi2)
+    n_terms = _auto_truncation(phi1, phi2)
     gram = cross_gram(phi1, phi2, n_terms)
     cos_angle = float(min(1.0, max(0.0, linalg.singular_values(gram)[0])))
     sin_angle = math.sqrt(max(0.0, 1.0 - cos_angle * cos_angle))
@@ -107,7 +104,7 @@ def subspace_cos_angle(
         cos_angle=cos_angle,
         sin_angle=sin_angle,
         sin_lower_bound=bound,
-        truncation=int(n_terms),
+        truncation=n_terms,
     )
 
 
@@ -155,9 +152,7 @@ def g_bound(rho: float, delta: float, p: int) -> float:
     return (delta + rho * (p - 1)) / (1.0 - rho * (p - 1))
 
 
-def radius_estimate(
-    factors, rho_mode: str = "numeric", n_terms: int | None = None
-) -> RadiusEstimate:
+def radius_estimate(factors, rho_mode: str = "numeric") -> RadiusEstimate:
     """Radius estimate for a product of single-zero Blaschke factors.
 
     delta is the largest single-factor radius; rho bounds the pairwise
@@ -185,7 +180,7 @@ def radius_estimate(
     for i in range(p):
         for j in range(i + 1, p):
             if rho_mode == "numeric":
-                angles.append(subspace_cos_angle(factors[i], factors[j], n_terms))
+                angles.append(subspace_cos_angle(factors[i], factors[j]))
                 rho = max(rho, angles[-1].cos_angle)
             else:
                 b = sin_angle_lower_bound(factors[i], factors[j])

@@ -21,7 +21,13 @@ from .inequalities import (
 )
 from .model_operator import compress_shift_adjoint, shift_adjoint_matrix, single_zero_matrix
 from .numerical_range import numerical_radius
-from .poncelet import edge_support_gaps, poncelet_polygon
+from .poncelet import (
+    UNIT_MODULUS_TOL,
+    VERTEX_DISTINCT_TOL,
+    VERTEX_MATCH_TOL,
+    edge_support_gaps,
+    poncelet_polygon,
+)
 from .radius import radius_closed_form, radius_single_zero
 from .subspaces import radius_estimate
 
@@ -30,9 +36,9 @@ TOLERANCES = {
     "closed_form_agreement": 1e-11,
     "margin_floor": -1e-9,
     "chain_equality": 5e-9,
-    "unit_modulus": 1e-10,
-    "vertex_match": 1e-8,
-    "vertex_distinct": 1e-8,
+    "unit_modulus": UNIT_MODULUS_TOL,
+    "vertex_match": VERTEX_MATCH_TOL,
+    "vertex_distinct": VERTEX_DISTINCT_TOL,
     "circumscription": 1e-6,
     "sin_bound_slack": 1e-6,
     "estimate_slack": 1e-8,

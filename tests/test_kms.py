@@ -128,7 +128,7 @@ ARRAY_ALPHAS = (0.01, 0.3, 0.5, 0.9, 0.99)
 ARRAY_DEGREES = (1, 2, 3, 8, 57, 128)
 
 
-@pytest.mark.parametrize("n", ARRAY_DEGREES)
+@pytest.mark.parametrize("n", (*ARRAY_DEGREES, 256, 1000))
 def test_root_system_matches_scalar_solver(n):
     for alpha in ARRAY_ALPHAS:
         roots = kms_root_system(alpha, n).roots

@@ -96,6 +96,8 @@ def test_boundary_points_inside_disc_for_contractions():
 def test_boundary_grid_guard():
     with pytest.raises(ValueError):
         boundary(np.eye(2), 4)
+    with pytest.raises(ValueError, match="at least 64"):
+        boundary(np.eye(2), 32)
     with pytest.raises(ValueError, match="even"):
         boundary(np.eye(2), 2047)
 

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from numrange.blaschke import real_part_symbol
 from numrange.errors import AlphaOutOfRangeError, UnsupportedDegreeError
+from numrange.kms import kms_root_system
 from numrange.model_operator import single_zero_matrix
 from numrange.numerical_range import numerical_radius
 from numrange.radius import radius_closed_form, radius_poisson_form, radius_single_zero
@@ -76,6 +78,16 @@ def test_poisson_restatement_agrees():
     for n in (1, 2, 4, 7):
         for a in (0.1, 0.45, 0.8):
             assert abs(radius_poisson_form(a, n) - radius_single_zero(a, n)) < 1e-11
+
+
+def test_formulas_match_root_system_at_large_degree():
+    # the scalar bisection must resolve the last root to float resolution:
+    # a root 5e-14 off fails the residual checks from n = 255 on
+    for n in (255, 256, 600, 1000):
+        for a in (0.1, 0.5, 0.9):
+            expected = -real_part_symbol(a, kms_root_system(a, n).roots[-1])
+            assert abs(radius_single_zero(a, n) - expected) <= 1e-13
+            assert abs(radius_poisson_form(a, n) - expected) <= 1e-13
 
 
 def test_radius_within_polygon_bounds():
