@@ -20,8 +20,8 @@ from .errors import (
 
 # Slack allowed outside the closed unit disc when evaluating.
 UNIT_DISC_TOL = 1e-9
-# Default truncation targets rho_max**N below this value.
-DEFAULT_COEFF_TARGET = 1e-14
+# The default truncation keeps every Takenaka basis tail bound below this.
+TAIL_TARGET = 1e-10
 MAX_TRUNCATION = 100_000
 
 
@@ -84,9 +84,6 @@ class BlaschkeProduct:
         for zero, mult in self.factors:
             out.extend([zero] * mult)
         return out
-
-    def max_zero_modulus(self) -> float:
-        return max(abs(z) for z, _ in self.factors)
 
     def __mul__(self, other: "BlaschkeProduct") -> "BlaschkeProduct":
         return BlaschkeProduct(self.factors + other.factors)
@@ -192,17 +189,22 @@ def _tail_bound(factor_zeros, kernel_zero: complex, n_terms: int) -> float:
     return math.exp(min(log_bound, 700.0))
 
 
-def default_truncation(phi: BlaschkeProduct) -> int:
-    """Truncation order making rho_max**N smaller than 1e-14."""
-    rho = phi.max_zero_modulus()
-    if rho == 0.0:
-        return phi.degree + 1
-    if rho > 0.999:
-        raise TruncationInsufficientError(
-            f"zeros with modulus {rho} need more than {MAX_TRUNCATION} terms"
-        )
-    n = int(math.ceil(math.log(DEFAULT_COEFF_TARGET) / math.log(rho)))
-    return max(n, phi.degree + 1, 8)
+def default_truncation(*phis: BlaschkeProduct) -> int:
+    """The smallest power of two from 32 at which every Takenaka basis tail
+    bound of every product is below ``TAIL_TARGET``.
+
+    Any zeros strictly inside the disc, of any multiplicity, are accepted
+    until that truncation would pass ``MAX_TRUNCATION``; past it the call
+    raises TruncationInsufficientError.
+    """
+    n_terms = 32
+    while n_terms <= MAX_TRUNCATION:
+        if max(_basis_tail_bound(phi.zeros(), n_terms) for phi in phis) < TAIL_TARGET:
+            return n_terms
+        n_terms *= 2
+    raise TruncationInsufficientError(
+        f"cannot reach tail target {TAIL_TARGET} within {MAX_TRUNCATION} terms"
+    )
 
 
 def _checked_truncation(phi: BlaschkeProduct, n_terms: int | None) -> int:

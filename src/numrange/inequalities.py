@@ -12,12 +12,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import (
-    AlphaOutOfRangeError,
-    ConstantMapError,
-    NotNilpotentError,
-    SelfMapViolationError,
-)
+from .blaschke import _in_disc
+from .errors import ConstantMapError, NotNilpotentError, SelfMapViolationError
 from .model_operator import shift_adjoint_matrix
 from .numerical_range import numerical_radius
 from .radius import radius_single_zero
@@ -91,9 +87,7 @@ def operator_mobius(t, alpha) -> np.ndarray:
     Maps contractions to contractions; the inverse exists whenever
     ||T|| <= 1 and |alpha| < 1.
     """
-    a = complex(alpha)
-    if abs(a) >= 1.0:
-        raise AlphaOutOfRangeError(f"|alpha| must be below 1, got {abs(a)}")
+    a = _in_disc(alpha)
     m = linalg.as_square(t)
     eye = np.eye(m.shape[0], dtype=np.complex128)
     return linalg.rdiv(a * eye - m, eye - a.conjugate() * m)
@@ -160,9 +154,7 @@ def schwarz_pick_check(
     at alpha.  The certified inequality is margin = rhs - lhs >= 0 up to
     rounding.
     """
-    a = complex(alpha)
-    if abs(a) >= 1.0:
-        raise AlphaOutOfRangeError(f"|alpha| must be below 1, got {abs(a)}")
+    a = _in_disc(alpha)
     m_ord = vanishing_order(f, a)
     lhs = numerical_radius(schwarz_pick_transform(t.matrix, f, a))
     rhs = radius_single_zero(abs(a), t.order) ** m_ord

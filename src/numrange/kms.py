@@ -48,10 +48,7 @@ def eigenvalue_equation(alpha, n: int, t: float) -> float:
     t = float(t)
     if not 0.0 < t < math.pi:
         raise TOutOfRangeError(f"t must lie in (0, pi), got {t}")
-    n = int(n)
-    return (
-        math.sin((n + 1) * t) - 2.0 * a * math.sin(n * t) + a * a * math.sin((n - 1) * t)
-    ) / math.sin(t)
+    return float(_equation_values(a, int(n), t))
 
 
 def parity_equation(alpha, n: int, k: int, t: float) -> float:

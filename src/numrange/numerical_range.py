@@ -84,13 +84,11 @@ class BoundarySample:
 
     ``points[i]`` is (x, y) at ``thetas[i]``; the chord identity
     x cos(theta) + y sin(theta) = support holds at every grid point by
-    construction.  ``lambda_prime`` holds central-difference derivatives
-    of the support function.
+    construction.
     """
 
     thetas: np.ndarray
     support: np.ndarray
-    lambda_prime: np.ndarray
     points: np.ndarray
 
     def points_complex(self) -> np.ndarray:
@@ -121,12 +119,7 @@ def boundary(t, grid_size: int = DEFAULT_BOUNDARY_GRID) -> BoundarySample:
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     x = support * cos_t - lam_p * sin_t
     y = support * sin_t + lam_p * cos_t
-    return BoundarySample(
-        thetas=thetas,
-        support=support,
-        lambda_prime=lam_p,
-        points=np.column_stack([x, y]),
-    )
+    return BoundarySample(thetas=thetas, support=support, points=np.column_stack([x, y]))
 
 
 def _support_derivatives(re_t, im_t, theta: float) -> tuple[float, float, float]:

@@ -6,16 +6,9 @@ from __future__ import annotations
 
 import math
 
-from .blaschke import poisson_kernel, real_part_symbol
-from .errors import AlphaOutOfRangeError, UnsupportedDegreeError
+from .blaschke import _in_disc, poisson_kernel, real_part_symbol
+from .errors import UnsupportedDegreeError
 from .kms import solve_root
-
-
-def _modulus(alpha) -> float:
-    a = abs(complex(alpha))
-    if a >= 1.0:
-        raise AlphaOutOfRangeError(f"zero must lie inside the unit disc, got |alpha| = {a}")
-    return a
 
 
 def radius_single_zero(alpha, n: int) -> float:
@@ -28,7 +21,7 @@ def radius_single_zero(alpha, n: int) -> float:
 
     and reduces to cos(pi/(n+1)) at alpha = 0.
     """
-    a = _modulus(alpha)
+    a = abs(_in_disc(alpha))
     n = int(n)
     if n < 1:
         raise ValueError("degree must be positive")
@@ -40,7 +33,7 @@ def radius_single_zero(alpha, n: int) -> float:
 def radius_poisson_form(alpha, n: int) -> float:
     """Equivalent restatement of :func:`radius_single_zero` through the
     Poisson kernel, kept as a separate code path for cross-checking."""
-    a = _modulus(alpha)
+    a = abs(_in_disc(alpha))
     n = int(n)
     if n < 1:
         raise ValueError("degree must be positive")
@@ -64,7 +57,7 @@ def radius_closed_form(alpha, n: int) -> float:
     with a = |alpha|.  These share no subexpressions with the root-based
     path, so agreement between the two is a meaningful check.
     """
-    a = _modulus(alpha)
+    a = abs(_in_disc(alpha))
     n = int(n)
     if n == 2:
         return (1.0 + 2.0 * a - a * a) / 2.0

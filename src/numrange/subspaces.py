@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .blaschke import MAX_TRUNCATION, BlaschkeProduct, _basis_tail_bound, takenaka_basis
+from .blaschke import TAIL_TARGET, BlaschkeProduct, default_truncation, takenaka_basis
 from .errors import (
     CommonZeroError,
     DuplicateZeroError,
@@ -29,20 +29,7 @@ from .errors import (
 )
 from .radius import radius_single_zero
 
-GRAM_TAIL_TARGET = 1e-10
 COMMON_ZERO_TOL = 1e-12
-
-
-def _auto_truncation(phi1: BlaschkeProduct, phi2: BlaschkeProduct) -> int:
-    n_terms = 32
-    while n_terms <= MAX_TRUNCATION:
-        worst = max(_basis_tail_bound(phi.zeros(), n_terms) for phi in (phi1, phi2))
-        if worst < GRAM_TAIL_TARGET:
-            return n_terms
-        n_terms *= 2
-    raise TruncationInsufficientError(
-        f"cannot reach tail target {GRAM_TAIL_TARGET} within {MAX_TRUNCATION} terms"
-    )
 
 
 def cross_gram(
@@ -52,14 +39,15 @@ def cross_gram(
 
     Entry (k, l) is the Hardy-space inner product of the k-th basis
     function of H(phi1) with the l-th of H(phi2), computed from truncated
-    Taylor coefficients.  The truncation is auto-sized (or checked, when
-    given) so every basis tail bound stays below ``GRAM_TAIL_TARGET``.
+    Taylor coefficients.  The truncation defaults to
+    :func:`default_truncation` of both products; a given one is checked to
+    keep every basis tail bound below ``TAIL_TARGET``.
     """
     if n_terms is None:
-        n_terms = _auto_truncation(phi1, phi2)
+        n_terms = default_truncation(phi1, phi2)
     c1, tail1 = takenaka_basis(phi1, n_terms)
     c2, tail2 = takenaka_basis(phi2, n_terms)
-    if max(tail1, tail2) >= GRAM_TAIL_TARGET:
+    if max(tail1, tail2) >= TAIL_TARGET:
         raise TruncationInsufficientError(
             f"truncation {n_terms} leaves tail {max(tail1, tail2):.3e}"
         )
@@ -92,7 +80,7 @@ def subspace_cos_angle(phi1: BlaschkeProduct, phi2: BlaschkeProduct) -> AngleRep
         for z2, _ in phi2.factors:
             if abs(z1 - z2) < COMMON_ZERO_TOL:
                 raise CommonZeroError(f"shared zero at {z1}")
-    n_terms = _auto_truncation(phi1, phi2)
+    n_terms = default_truncation(phi1, phi2)
     gram = cross_gram(phi1, phi2, n_terms)
     cos_angle = float(min(1.0, max(0.0, linalg.singular_values(gram)[0])))
     sin_angle = math.sqrt(max(0.0, 1.0 - cos_angle * cos_angle))

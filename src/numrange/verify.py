@@ -42,6 +42,7 @@ TOLERANCES = {
     "circumscription": 1e-6,
     "sin_bound_slack": 1e-6,
     "estimate_slack": 1e-8,
+    "dense_agreement": 1e-9,
 }
 
 SELF_MAPS = (

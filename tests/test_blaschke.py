@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from numrange.blaschke import (
+    TAIL_TARGET,
     BlaschkeProduct,
     default_truncation,
     evaluate,
@@ -177,7 +178,44 @@ def test_takenaka_basis_matches_row_by_row_convolution():
 def test_default_truncation_rule():
     phi = BlaschkeProduct.single_zero(0.5, 1)
     n = default_truncation(phi)
-    assert 0.5**n < 1e-14
+    assert n == 64
+    assert takenaka_basis(phi, 32)[1] >= TAIL_TARGET > takenaka_basis(phi, n)[1]
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        BlaschkeProduct.single_zero(0.5, 1),
+        BlaschkeProduct.single_zero(0.9, 4),
+        BlaschkeProduct.single_zero(0.9, 20),
+        BlaschkeProduct.single_zero(0.999, 1),
+        BlaschkeProduct(((0.3 + 0.2j, 2), (-0.95, 3), (0.6j, 1))),
+    ],
+)
+def test_default_basis_tail_below_target(phi):
+    rows, tail = takenaka_basis(phi)
+    assert tail < TAIL_TARGET
+    n = rows.shape[1]
+    assert n == default_truncation(phi) and n >= 32 and n & (n - 1) == 0
+    # the rule keeps the smallest such power of two
+    if n > 32:
+        assert takenaka_basis(phi, n // 2)[1] >= TAIL_TARGET
+    # every single series shares the truncation and stays within the target
+    for k in range(1, phi.degree + 1):
+        series = takenaka_taylor(phi, k)
+        assert len(series.coeffs) == n and series.truncation_error_bound < TAIL_TARGET
+
+
+def test_default_truncation_near_the_circle():
+    rows, tail = takenaka_basis(BlaschkeProduct.single_zero(0.9995, 1))
+    assert rows.shape == (1, 65536) and tail < TAIL_TARGET
+    with pytest.raises(TruncationInsufficientError):
+        takenaka_basis(BlaschkeProduct.single_zero(0.9999, 1))
+
+
+def test_default_truncation_of_monomials():
+    assert default_truncation(BlaschkeProduct.monomial(3)) == 32
+    assert default_truncation(BlaschkeProduct.monomial(40)) == 64
 
 
 def test_orthonormality_within_tail_bound():

@@ -173,6 +173,13 @@ def test_kms_subcommand(capsys):
     assert data["results"]["dense_delta_max"] < 1e-9
 
 
+def test_kms_dense_disagreement_is_certification_failure(capsys):
+    code, out, _ = run_cli(capsys, "kms", "--alpha", "0.9999", "--n", "128")
+    assert code == 1
+    data = json.loads(out)
+    assert data["results"]["dense_delta_max"] > data["tolerances"]["dense_agreement"] == 1e-9
+
+
 def test_angles_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "angles", "--zero", "0.1,0", "--zero", "-0.1,0"

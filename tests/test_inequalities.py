@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from numrange.errors import (
+    AlphaOutOfRangeError,
     ConstantMapError,
     NotNilpotentError,
     SelfMapViolationError,
@@ -49,6 +50,15 @@ def test_operator_mobius_at_zero_negates():
 def test_operator_mobius_of_zero_matrix():
     out = operator_mobius(np.zeros((3, 3)), 0.4 + 0.1j)
     assert np.allclose(out, (0.4 + 0.1j) * np.eye(3))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1j, float("nan"), complex(0.1, math.inf)])
+def test_alpha_outside_open_disc_rejected(alpha):
+    with pytest.raises(AlphaOutOfRangeError):
+        operator_mobius(shift_matrix(3), alpha)
+    t = NilpotentContraction(shift_matrix(3), 3)
+    with pytest.raises(AlphaOutOfRangeError):
+        schwarz_pick_check(t, F_ID, alpha)
 
 
 def test_operator_mobius_relates_to_shift_moebius():

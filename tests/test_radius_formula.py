@@ -29,6 +29,13 @@ def test_rejects_boundary_zero():
         radius_single_zero(1.0, 3)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), complex(math.inf, 0.0), complex(0.2, math.nan)])
+@pytest.mark.parametrize("formula", [radius_single_zero, radius_poisson_form, radius_closed_form])
+def test_rejects_non_finite_zero(formula, alpha):
+    with pytest.raises(AlphaOutOfRangeError):
+        formula(alpha, 3)
+
+
 def test_formula_matches_eigen_route():
     rng = np.random.default_rng(101)
     for _ in range(25):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from numrange.blaschke import BlaschkeProduct
+from numrange.blaschke import BlaschkeProduct, default_truncation
 from numrange.errors import (
     CommonZeroError,
     DuplicateZeroError,
@@ -49,6 +49,21 @@ def test_gram_entries_obey_cauchy_schwarz():
 def test_gram_truncation_guard():
     with pytest.raises(TruncationInsufficientError):
         cross_gram(single(0.9, 2), single(-0.85, 2), n_terms=16)
+
+
+@pytest.mark.parametrize(
+    "phi1, phi2",
+    [
+        (single(0.0), single(0.5)),
+        (single(0.3 + 0.2j, 2), single(-0.4 + 0.1j)),
+        (single(0.9, 4), single(-0.9 + 0.1j, 4)),
+        (single(0.99, 4), single(0.99j, 2)),
+    ],
+)
+def test_angle_truncation_is_the_default_rule(phi1, phi2):
+    n = default_truncation(phi1, phi2)
+    assert subspace_cos_angle(phi1, phi2).truncation == n
+    assert n == max(default_truncation(phi1), default_truncation(phi2))
 
 
 def test_angle_between_kernel_lines():
