@@ -112,6 +112,7 @@ from .subspaces import (
     radius_estimate,
     sin_angle_lower_bound,
     subspace_cos_angle,
+    taylor_cross_gram,
 )
 
 __version__ = VERSION

@@ -108,13 +108,20 @@ def evaluate(phi: BlaschkeProduct, z) -> complex:
     return out
 
 
+def _poisson_denominator(a: float, t):
+    # 1 - 2 a cos t + a^2 without the cancellation near a = 1, t = 0
+    return (1.0 - a) ** 2 + 4.0 * a * np.sin(0.5 * np.asarray(t)) ** 2
+
+
 def poisson_kernel(alpha, t):
     """P_a(e^{it}) = (1 - a^2) / (1 - 2 a cos t + a^2) for real a in [0, 1).
 
-    ``t`` may be a number or an array of angles.
+    The denominator is evaluated as (1 - a)^2 + 4 a sin^2(t/2), which
+    keeps full relative accuracy for a near 1 and small t.  ``t`` may be a
+    number or an array of angles.
     """
     a = _unit_interval(alpha)
-    return (1.0 - a * a) / (1.0 - 2.0 * a * np.cos(t) + a * a)
+    return (1.0 - a * a) / _poisson_denominator(a, t)
 
 
 def real_part_symbol(alpha, t):
@@ -122,11 +129,14 @@ def real_part_symbol(alpha, t):
 
     h(t) = ((1 + a^2) cos t - 2 a) / (1 - 2 a cos t + a^2), the symbol for
     the zero placed at -a.  It reduces to cos t at a = 0 and is strictly
-    decreasing on [0, pi].  ``t`` may be a number or an array of angles.
+    decreasing on [0, pi].  Numerator and denominator are evaluated as
+    (1 - a)^2 - 2 (1 + a^2) sin^2(t/2) and (1 - a)^2 + 4 a sin^2(t/2), free
+    of cancellation for a near 1 and small t.  ``t`` may be a number or an
+    array of angles.
     """
     a = _unit_interval(alpha)
-    c = np.cos(t)
-    return ((1.0 + a * a) * c - 2.0 * a) / (1.0 - 2.0 * a * c + a * a)
+    half_sin_sq = np.sin(0.5 * np.asarray(t)) ** 2
+    return ((1.0 - a) ** 2 - 2.0 * (1.0 + a * a) * half_sin_sq) / _poisson_denominator(a, t)
 
 
 @dataclass(frozen=True)
@@ -176,7 +186,9 @@ def _tail_bound(factor_zeros, kernel_zero: complex, n_terms: int) -> float:
     q = len(zs)
     log_k = 0.5 * math.log(1.0 - abs(kernel_zero) ** 2)
     for z in factor_zeros:
-        log_k += math.log(max(abs(z), (1.0 - abs(z) ** 2) / rho))
+        # log max(|z|, (1 - |z|^2) / rho), without overflow for subnormal rho
+        log_k += max(math.log(abs(z)) if z else -math.inf,
+                     math.log(1.0 - abs(z) ** 2) - math.log(rho))
     growth = 1.0 + (q - 1) / (n_terms + 1.0)
     if growth * rho >= 1.0:
         return math.inf

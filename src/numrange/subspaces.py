@@ -1,9 +1,11 @@
 """Principal angles between model spaces of Blaschke products.
 
-Computes cross-Gram matrices of Takenaka bases through certified Taylor
-truncations, the smallest principal angle between two model spaces, the
-zero-separation lower bound on its sine, and the resulting numerical
-radius estimate for products whose factors have well-separated zeros.
+Computes cross-Gram matrices of Takenaka bases exactly, from a triangular
+Stein equation, with the certified Taylor truncation kept as an
+independent cross-check; the smallest principal angle between two model
+spaces, the zero-separation lower bound on its sine, and the resulting
+numerical radius estimate for products whose factors have well-separated
+zeros.
 
 The angle is taken to be the smallest principal angle: its cosine (the
 top singular value of the cross-Gram of orthonormal bases) is exactly the
@@ -27,21 +29,59 @@ from .errors import (
     NotSingleZeroError,
     TruncationInsufficientError,
 )
+from .model_operator import compress_shift_adjoint
 from .radius import radius_single_zero
 
 COMMON_ZERO_TOL = 1e-12
 
 
-def cross_gram(
-    phi1: BlaschkeProduct, phi2: BlaschkeProduct, n_terms: int | None = None
-) -> np.ndarray:
-    """Matrix of inner products between the two Takenaka bases.
+def _values_at_zero(phi: BlaschkeProduct) -> np.ndarray:
+    """Value at 0 of each Takenaka basis function: s_k prod_{j<k} (-z_j)."""
+    out, prod = [], 1.0
+    for z in phi.zeros():
+        out.append(math.sqrt(1.0 - abs(z) ** 2) * prod)
+        prod *= -z
+    return np.array(out, dtype=np.complex128)
+
+
+def cross_gram(phi1: BlaschkeProduct, phi2: BlaschkeProduct) -> np.ndarray:
+    """Matrix of inner products between the two Takenaka bases, exactly.
 
     Entry (k, l) is the Hardy-space inner product of the k-th basis
-    function of H(phi1) with the l-th of H(phi2), computed from truncated
-    Taylor coefficients.  The truncation defaults to
-    :func:`default_truncation` of both products; a given one is checked to
-    keep every basis tail bound below ``TAIL_TARGET``.
+    function of H(phi1) with the l-th of H(phi2).  Both model spaces are
+    invariant under the backward shift S*, and <f, g> = <S*f, S*g> +
+    f(0) conj(g(0)), so the matrix G solves the Stein equation
+
+        G = A1^T G conj(A2) + c1 c2^H
+
+    with A_i the matrix of S* on H(phi_i) (:func:`compress_shift_adjoint`)
+    and c_i the values of the basis functions at 0.  A1^T is lower and
+    conj(A2) upper triangular, so row k of G solves an upper-triangular
+    system in the rows before it, with diagonal 1 - conj(z1_k) z2_l, which
+    is nonzero for zeros inside the disc.  No series is truncated.
+    """
+    a1 = compress_shift_adjoint(phi1).matrix
+    a2 = compress_shift_adjoint(phi2).matrix.conj()
+    c1, c2 = _values_at_zero(phi1), _values_at_zero(phi2).conj()
+    gram = np.zeros((len(c1), len(c2)), dtype=np.complex128)
+    for k in range(len(c1)):
+        w = a1[k, k]
+        rhs = c1[k] * c2 + (a1[:k, k] @ gram[:k]) @ a2
+        row = gram[k]
+        for l in range(len(c2)):
+            row[l] = (rhs[l] + w * (row[:l] @ a2[:l, l])) / (1.0 - w * a2[l, l])
+    return gram
+
+
+def taylor_cross_gram(
+    phi1: BlaschkeProduct, phi2: BlaschkeProduct, n_terms: int | None = None
+) -> np.ndarray:
+    """:func:`cross_gram` from truncated Taylor coefficients of both bases.
+
+    The independent cross-check of the Stein solve.  The truncation
+    defaults to :func:`default_truncation` of both products; a given one
+    is checked to keep every basis tail bound below ``TAIL_TARGET``, and
+    TruncationInsufficientError is raised otherwise.
     """
     if n_terms is None:
         n_terms = default_truncation(phi1, phi2)
@@ -60,7 +100,8 @@ class AngleReport:
 
     ``sin_lower_bound`` carries the zero-separation bound when both inputs
     have a single distinct zero, else 0.  ``truncation`` is the number of
-    Taylor terms used for the Gram matrix.
+    Taylor terms behind the Gram matrix; it is 0, since :func:`cross_gram`
+    is exact.
     """
 
     cos_angle: float
@@ -80,8 +121,7 @@ def subspace_cos_angle(phi1: BlaschkeProduct, phi2: BlaschkeProduct) -> AngleRep
         for z2, _ in phi2.factors:
             if abs(z1 - z2) < COMMON_ZERO_TOL:
                 raise CommonZeroError(f"shared zero at {z1}")
-    n_terms = default_truncation(phi1, phi2)
-    gram = cross_gram(phi1, phi2, n_terms)
+    gram = cross_gram(phi1, phi2)
     cos_angle = float(min(1.0, max(0.0, linalg.singular_values(gram)[0])))
     sin_angle = math.sqrt(max(0.0, 1.0 - cos_angle * cos_angle))
     try:
@@ -92,7 +132,7 @@ def subspace_cos_angle(phi1: BlaschkeProduct, phi2: BlaschkeProduct) -> AngleRep
         cos_angle=cos_angle,
         sin_angle=sin_angle,
         sin_lower_bound=bound,
-        truncation=n_terms,
+        truncation=0,
     )
 
 

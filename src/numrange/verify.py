@@ -29,7 +29,7 @@ from .poncelet import (
     poncelet_polygon,
 )
 from .radius import radius_closed_form, radius_single_zero
-from .subspaces import radius_estimate
+from .subspaces import cross_gram, radius_estimate, taylor_cross_gram
 
 TOLERANCES = {
     "radius_agreement": 1e-9,
@@ -43,6 +43,7 @@ TOLERANCES = {
     "sin_bound_slack": 1e-6,
     "estimate_slack": 1e-8,
     "dense_agreement": 1e-9,
+    "gram_agreement": 1e-13,
 }
 
 SELF_MAPS = (
@@ -186,8 +187,9 @@ def schwarz_pick_suite(trials: int = 200, seed: int = 1) -> SuiteResult:
 
 def angles_suite(trials: int = 50, seed: int = 3) -> SuiteResult:
     """Subspace angle sine against its separation lower bound, the radius
-    estimate when applicable, and the strict polygon lower bound on the
-    product radius."""
+    estimate when applicable, the strict polygon lower bound on the
+    product radius, and the exact (Stein) cross-Gram against the Taylor
+    one at its default truncation."""
     out = SuiteResult(suite="angles", trials=trials, seed=seed)
     rng = np.random.default_rng(seed)
     for i in range(trials):
@@ -204,12 +206,14 @@ def angles_suite(trials: int = 50, seed: int = 3) -> SuiteResult:
         proxy = radius_estimate([phi1, phi2], rho_mode="f-proxy")
         product_radius = numerical_radius(compress_shift_adjoint(phi1 * phi2).matrix)
         n = n1 + n2
+        gram_delta = float(np.max(np.abs(cross_gram(phi1, phi2) - taylor_cross_gram(phi1, phi2))))
         rec = {
             "trial": i, "zero1": z1, "zero2": z2, "n1": n1, "n2": n2,
             "cos": rep.cos_angle, "sin": rep.sin_angle, "sin_lower_bound": bound,
             "rho": est.rho, "delta": est.delta, "applicable": est.applicable,
             "bound": est.bound, "product_radius": product_radius,
             "polygon_floor": math.cos(math.pi / n),
+            "gram_taylor_delta": gram_delta,
         }
         out.records.append(rec)
         if rep.sin_angle < bound - TOLERANCES["sin_bound_slack"]:
@@ -218,6 +222,8 @@ def angles_suite(trials: int = 50, seed: int = 3) -> SuiteResult:
             out.fail(f"trial {i}: radius {product_radius:.6f} above bound {est.bound:.6f}")
         if est.rho > proxy.rho + 1e-9:
             out.fail(f"trial {i}: numeric rho {est.rho:.6f} above proxy {proxy.rho:.6f}")
+        if gram_delta > TOLERANCES["gram_agreement"]:
+            out.fail(f"trial {i}: Stein vs Taylor cross-Gram delta {gram_delta:.3e}")
         if not product_radius > math.cos(math.pi / n):
             out.fail(f"trial {i}: radius {product_radius:.6f} not above cos(pi/{n})")
     return out

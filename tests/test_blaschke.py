@@ -213,6 +213,12 @@ def test_default_truncation_near_the_circle():
         takenaka_basis(BlaschkeProduct.single_zero(0.9999, 1))
 
 
+def test_default_truncation_of_subnormal_zeros():
+    # (1 - |z|^2) / |z| overflows for a subnormal zero; its series ends almost at once
+    for z in (2.225073858507e-311, 5e-324j):
+        assert default_truncation(BlaschkeProduct.single_zero(z, 2)) == 32
+
+
 def test_default_truncation_of_monomials():
     assert default_truncation(BlaschkeProduct.monomial(3)) == 32
     assert default_truncation(BlaschkeProduct.monomial(40)) == 64

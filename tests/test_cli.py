@@ -10,6 +10,7 @@ from numrange.report import RunReport, boundary_csv, boundary_svg
 from numrange.numerical_range import boundary
 from numrange.model_operator import compress_shift_adjoint, shift_matrix
 from numrange.poncelet import circumscription_check, edge_support_gaps, poncelet_polygon
+from numrange.verify import TOLERANCES
 
 
 def run_cli(capsys, *argv):
@@ -173,11 +174,20 @@ def test_kms_subcommand(capsys):
     assert data["results"]["dense_delta_max"] < 1e-9
 
 
-def test_kms_dense_disagreement_is_certification_failure(capsys):
+def test_kms_dense_disagreement_is_certification_failure(capsys, monkeypatch):
+    # tolerance 0 makes the exit path independent of how accurate the root system is
+    monkeypatch.setitem(TOLERANCES, "dense_agreement", 0.0)
     code, out, _ = run_cli(capsys, "kms", "--alpha", "0.9999", "--n", "128")
     assert code == 1
     data = json.loads(out)
-    assert data["results"]["dense_delta_max"] > data["tolerances"]["dense_agreement"] == 1e-9
+    assert data["results"]["dense_delta_max"] > data["tolerances"]["dense_agreement"] == 0.0
+
+
+def test_kms_near_circle_agrees_with_dense_solver(capsys):
+    code, out, _ = run_cli(capsys, "kms", "--alpha", "0.9999", "--n", "128")
+    assert code == 0
+    data = json.loads(out)
+    assert data["results"]["dense_delta_max"] <= data["tolerances"]["dense_agreement"] == 1e-9
 
 
 def test_angles_subcommand(capsys):
@@ -188,6 +198,16 @@ def test_angles_subcommand(capsys):
     data = json.loads(out)
     pair = data["results"]["pairs"][0]
     assert pair["sin_angle"] >= pair["sin_lower_bound"] - 1e-6
+
+
+@pytest.mark.parametrize("a", [0.9999, 1 - 1e-6])
+def test_angles_accepts_zero_near_the_circle(capsys, a):
+    code, out, _ = run_cli(capsys, "angles", "--zero", f"{a!r},0", "--zero", "0.3,0")
+    assert code == 0
+    (pair,) = json.loads(out)["results"]["pairs"]
+    closed = math.sqrt((1 - a * a) * (1 - 0.3**2)) / (1 - a * 0.3)
+    assert abs(pair["cos_angle"] - closed) <= 1e-15
+    assert pair["truncation"] == 0
 
 
 def test_verify_smoke_all_suites(capsys):

@@ -1,8 +1,11 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from numrange.blaschke import BlaschkeProduct, default_truncation
 from numrange.errors import (
@@ -13,6 +16,7 @@ from numrange.errors import (
 )
 from numrange.linalg import hermitian_eig
 from numrange.model_operator import compress_shift_adjoint
+from numrange import subspaces
 from numrange.numerical_range import numerical_radius
 from numrange.subspaces import (
     cross_gram,
@@ -20,6 +24,7 @@ from numrange.subspaces import (
     radius_estimate,
     sin_angle_lower_bound,
     subspace_cos_angle,
+    taylor_cross_gram,
 )
 
 
@@ -48,7 +53,7 @@ def test_gram_entries_obey_cauchy_schwarz():
 
 def test_gram_truncation_guard():
     with pytest.raises(TruncationInsufficientError):
-        cross_gram(single(0.9, 2), single(-0.85, 2), n_terms=16)
+        taylor_cross_gram(single(0.9, 2), single(-0.85, 2), n_terms=16)
 
 
 @pytest.mark.parametrize(
@@ -60,10 +65,62 @@ def test_gram_truncation_guard():
         (single(0.99, 4), single(0.99j, 2)),
     ],
 )
-def test_angle_truncation_is_the_default_rule(phi1, phi2):
-    n = default_truncation(phi1, phi2)
-    assert subspace_cos_angle(phi1, phi2).truncation == n
-    assert n == max(default_truncation(phi1), default_truncation(phi2))
+def test_angle_gram_is_exact_and_matches_taylor(phi1, phi2):
+    taylor = taylor_cross_gram(phi1, phi2, default_truncation(phi1, phi2))
+    assert np.max(np.abs(cross_gram(phi1, phi2) - taylor)) <= 1e-14
+    assert subspace_cos_angle(phi1, phi2).truncation == 0
+
+
+def test_angles_path_runs_no_taylor_series(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Taylor series on the angles path")
+
+    monkeypatch.setattr(subspaces, "takenaka_basis", refuse)
+    monkeypatch.setattr(subspaces, "default_truncation", refuse)
+    est = radius_estimate([single(0.9995, 2), single(-0.3 + 0.4j), single(0.2j, 3)])
+    assert len(est.angles) == 3 and all(rep.truncation == 0 for rep in est.angles)
+
+
+@st.composite
+def products(draw):
+    """Products of up to three factors, |z| <= 0.95, multiplicities up to 3,
+    each factor optionally followed by a simple zero within 1e-4 of it."""
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        z = draw(st.floats(0.0, 0.95)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+        factors.append((z, draw(st.integers(1, 3))))
+        if draw(st.booleans()):
+            w = z + draw(st.floats(1e-6, 1e-4)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+            factors.append((w * min(1.0, 0.95 / abs(w)), 1))
+    return BlaschkeProduct(tuple(factors))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(products(), products())
+def test_stein_gram_matches_taylor(phi1, phi2):
+    n_terms = default_truncation(phi1, phi2)
+    assume(n_terms <= 4096)
+    delta = np.max(np.abs(cross_gram(phi1, phi2) - taylor_cross_gram(phi1, phi2, n_terms)))
+    assert delta <= 1e-14
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([0.0, 0.5, 0.9, 0.9999, 1 - 1e-5, 1 - 1e-6]) | st.floats(0.0, 1 - 1e-6),
+    st.floats(0.0, 2 * math.pi),
+    st.floats(0.0, 1 - 1e-6),
+    st.floats(0.0, 2 * math.pi),
+)
+def test_simple_zero_gram_against_mpmath(ra, ta, rb, tb):
+    a, b = ra * cmath.exp(1j * ta), rb * cmath.exp(1j * tb)
+    with mpmath.workdps(30):
+        ma, mb = mpmath.mpc(a), mpmath.mpc(b)
+        s_a, s_b = mpmath.sqrt(1 - abs(ma) ** 2), mpmath.sqrt(1 - abs(mb) ** 2)
+        exact = complex(s_a * s_b / (1 - mpmath.conj(ma) * mb))
+    # first-order rounding of s_a, s_b and 1 - conj(a) b, each relative to its size
+    cond = 1 / (1 - abs(a) ** 2) + 1 / (1 - abs(b) ** 2) + 1 / abs(1 - a.conjugate() * b)
+    g = cross_gram(single(a), single(b))[0, 0]
+    assert abs(g - exact) <= 8 * np.finfo(float).eps * cond * abs(exact)
 
 
 def test_angle_between_kernel_lines():
