@@ -16,8 +16,7 @@ MIN_RADIUS_GRID = 64
 MIN_BOUNDARY_GRID = 64
 # Matrix entries per stacked eigensolve; bounds the memory of support_sweep.
 ENTRIES = 4096
-_NEWTON_GAP = 1e-9  # relative top-eigenvalue gap below which the radius refinement bisects
-_REFINE_TOL = 1e-12  # angle tolerance of the radius refinement's bracket and Newton step
+_GAIN_TOL = 4.0 * np.finfo(np.float64).eps  # relative gain below which the radius refinement stops
 
 
 def rotated_real_part(t, theta: float) -> np.ndarray:
@@ -122,29 +121,17 @@ def boundary(t, grid_size: int = DEFAULT_BOUNDARY_GRID) -> BoundarySample:
     return BoundarySample(thetas=thetas, support=support, points=np.column_stack([x, y]))
 
 
-def _support_derivatives(re_t, im_t, theta: float) -> tuple[float, float, float]:
-    """Support function and its first two theta-derivatives from one eigh;
-    the second is +inf where a nearly multiple top eigenvalue breaks it."""
-    c, s = math.cos(theta), math.sin(theta)
-    vals, vecs = np.linalg.eigh(c * re_t + s * im_t)
-    lam = float(vals[-1])
-    # v_j* Im(e^{-i theta} T) v_top; Im(e^{-i theta} T) is the derivative
-    coupling = vecs.conj().T @ ((c * im_t - s * re_t) @ vecs[:, -1])
-    slope = float(coupling[-1].real)
-    gaps = lam - vals[:-1]
-    if np.any(gaps < _NEWTON_GAP * max(1.0, abs(lam))):
-        return lam, slope, math.inf
-    return lam, slope, -lam + 2.0 * float(np.sum(np.abs(coupling[:-1]) ** 2 / gaps))
-
-
-def _bracket_slopes(re_t, im_t, lo: float, hi: float) -> np.ndarray:
-    """Support-function slopes v* Im(e^{-i theta} T) v at theta = lo and hi,
-    v the top eigenvector, from one ``eigh`` of the (2, n, n) stack."""
-    angles = np.array([lo, hi])
-    cos_t = np.cos(angles)[:, None, None]
-    sin_t = np.sin(angles)[:, None, None]
-    top = np.linalg.eigh(cos_t * re_t + sin_t * im_t)[1][:, :, -1]
-    return np.einsum("ki,kij,kj->k", top.conj(), cos_t * im_t - sin_t * re_t, top).real
+def _top_slopes(re_t, im_t, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """Largest eigenvalue of Re(e^{-i theta} T) at each angle of ``thetas``
+    and its slope v* Im(e^{-i theta} T) v, v the top eigenvector, from one
+    stacked ``eigh``."""
+    thetas = np.asarray(thetas, dtype=np.float64).reshape(-1)
+    cos_t = np.cos(thetas)[:, None, None]
+    sin_t = np.sin(thetas)[:, None, None]
+    vals, vecs = np.linalg.eigh(cos_t * re_t + sin_t * im_t)
+    top = vecs[:, :, -1]
+    slopes = np.einsum("ki,kij,kj->k", top.conj(), cos_t * im_t - sin_t * re_t, top).real
+    return vals[:, -1], slopes
 
 
 def numerical_radius(t, grid_size: int = DEFAULT_RADIUS_GRID) -> float:
@@ -153,13 +140,15 @@ def numerical_radius(t, grid_size: int = DEFAULT_RADIUS_GRID) -> float:
 
     The support function on a uniform grid of ``grid_size`` angles, from
     ``grid_size / 2`` eigensolves (:func:`_uniform_support`), locates the
-    best cell.  One stacked ``eigh`` gives the slopes at both cell ends;
-    when they bracket a maximum, safeguarded Newton on lambda' refines it,
-    bisecting when the curvature is not negative, the step leaves the
-    bracket or the top eigenvalue is nearly multiple, until the bracket or
-    the step is below ``_REFINE_TOL``.  When they do not (a plateau or a
-    kink) the grid maximum is returned; the result is never below the grid
-    maximum.
+    best grid angle x.  One stacked ``eigh`` gives the support function and
+    its slope at x - h, x and x + h (:func:`_top_slopes`).  When the outer
+    slopes bracket a maximum, the bracket is cut at x and regula falsi with
+    the Illinois safeguard refines the root of the slope, one ``eigh`` per
+    step, until |slope| times the width of the bracket left, which bounds
+    the gain still possible where the support function is concave, is at most
+    ``_GAIN_TOL * max(1, best)``, or the iterate leaves the open bracket.
+    When they do not (a plateau or a kink) the grid maximum is returned; the
+    result is never below the grid maximum.
 
     Parameters
     ----------
@@ -173,17 +162,23 @@ def numerical_radius(t, grid_size: int = DEFAULT_RADIUS_GRID) -> float:
     k = int(np.argmax(support))
     best, x, h = float(support[k]), float(thetas[k]), 2.0 * math.pi / len(thetas)
     lo, hi = x - h, x + h
-    slope_lo, slope_hi = _bracket_slopes(re_t, im_t, lo, hi)
+    (_, lam, _), (slope_lo, slope, slope_hi) = _top_slopes(re_t, im_t, [lo, x, hi])
     if not slope_lo > 0.0 > slope_hi:
         return best
-    while hi - lo > _REFINE_TOL and lo < x < hi:
-        lam, slope, curv = _support_derivatives(re_t, im_t, x)
-        best = max(best, lam)
-        if slope == 0.0:
-            break
-        lo, hi = (x, hi) if slope > 0.0 else (lo, x)
-        newton = x - slope / curv if curv < 0.0 else math.nan
-        if abs(newton - x) <= _REFINE_TOL:
-            break
-        x = newton if lo < newton < hi else 0.5 * (lo + hi)
-    return best
+    moved = 0  # +1 after lo moved, -1 after hi moved
+    while True:
+        best = max(best, float(lam))
+        if slope > 0.0:
+            if moved == 1:  # Illinois: the same end moved twice
+                slope_hi *= 0.5
+            lo, slope_lo, moved = x, slope, 1
+        else:
+            if moved == -1:
+                slope_lo *= 0.5
+            hi, slope_hi, moved = x, slope, -1
+        if abs(slope) * (hi - lo) <= _GAIN_TOL * max(1.0, best):
+            return best
+        x = lo + slope_lo * (hi - lo) / (slope_lo - slope_hi)
+        if not lo < x < hi:
+            return best
+        (lam,), (slope,) = _top_slopes(re_t, im_t, [x])

@@ -126,10 +126,9 @@ def unitary_eigensystem(u) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class PonceletPolygon:
     """Vertices on the unit circle sorted by argument, one of which is the
-    prescribed ``source_vertex``."""
+    prescribed vertex."""
 
     vertices: np.ndarray
-    source_vertex: complex
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -178,7 +177,7 @@ def poncelet_polygon(t, vertex) -> PonceletPolygon:
         raise PhaseSearchFailureError("dilation spectrum has coinciding eigenvalues")
     if float(np.min(np.abs(verts - lam))) > VERTEX_MATCH_TOL:
         raise PhaseSearchFailureError("prescribed vertex missing from the spectrum")
-    return PonceletPolygon(vertices=verts, source_vertex=lam)
+    return PonceletPolygon(vertices=verts)
 
 
 def _edges(vertices: np.ndarray):

@@ -13,9 +13,8 @@ from numrange.model_operator import (
 )
 from numrange.numerical_range import (
     MIN_BOUNDARY_GRID,
-    _bracket_slopes,
     _hermitian_parts,
-    _support_derivatives,
+    _top_slopes,
     _uniform_support,
     boundary,
     numerical_radius,
@@ -132,22 +131,34 @@ def test_radius_result_at_least_grid_max():
     assert r >= grid - 1e-15
 
 
+def random_unitary(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+
 def test_radius_adjoint_reflection():
+    # W(T*) is the mirror image of W(T) and W(T^T) = W(T): same radius
     rng = np.random.default_rng(11)
-    for _ in range(6):
-        n = int(rng.integers(2, 7))
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a /= spectral_norm(a)
-        assert abs(numerical_radius(a) - numerical_radius(a.conj().T)) < 1e-10
+        r = numerical_radius(a)
+        assert abs(r - numerical_radius(a.conj().T)) < 1e-10
+        assert abs(r - numerical_radius(a.T)) < 1e-10
 
 
 def test_radius_rotation_covariance():
+    # w(e^{i gamma} T) = w(T) and w(U* T U) = w(T) for a unitary U
     rng = np.random.default_rng(13)
-    for gamma in (0.3, 1.9, 4.4):
-        n = int(rng.integers(2, 7))
+    unitaries = np.random.default_rng(23)
+    for gamma in (0.3, 1.9, 4.4) + tuple(2 * math.pi * np.arange(1, 18) / 18):
+        n = int(rng.integers(2, 9))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a /= spectral_norm(a)
-        assert abs(numerical_radius(np.exp(1j * gamma) * a) - numerical_radius(a)) < 1e-10
+        u = random_unitary(unitaries, n)
+        r = numerical_radius(a)
+        assert abs(numerical_radius(np.exp(1j * gamma) * a) - r) < 1e-10
+        assert abs(numerical_radius(u.conj().T @ a @ u) - r) < 1e-10
 
 
 def test_radius_backends_agree_on_model_operators():
@@ -182,16 +193,30 @@ def test_uniform_support_matches_support_sweep(n, grid):
     assert np.max(np.abs(support - support_sweep(a, thetas))) < 1e-13
 
 
-def test_bracket_slopes_match_per_angle_derivatives():
+def test_top_slopes_match_support_sweep():
+    # eigenvalues against the eigvalsh sweep, slopes against its central differences
     rng = np.random.default_rng(31)
+    step = 1e-6
     for n in (1, 2, 5, 12):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a /= spectral_norm(a)
-        re_t, im_t = _hermitian_parts(a)
-        for lo in 2 * math.pi * rng.random(3):
-            hi = lo + 4 * math.pi / 256
-            expected = [_support_derivatives(re_t, im_t, th)[1] for th in (lo, hi)]
-            assert np.max(np.abs(_bracket_slopes(re_t, im_t, lo, hi) - expected)) < 1e-13
+        thetas = 2 * math.pi * rng.random(5)
+        lam, slope = _top_slopes(*_hermitian_parts(a), thetas)
+        diff = (support_sweep(a, thetas + step) - support_sweep(a, thetas - step)) / (2 * step)
+        assert np.max(np.abs(lam - support_sweep(a, thetas))) < 1e-13
+        assert np.max(np.abs(slope - diff)) < 1e-8
+
+
+def test_radius_of_two_maxima_in_one_grid_cell():
+    # the support function peaks twice within 2 pi / 256 of its best grid angle;
+    # a refinement started from the two cell ends settles on the lower peak
+    phi = BlaschkeProduct(
+        (
+            (-0.9426885814557996 - 0.3333740367707904j, 1),
+            (-0.9523031196488188 - 0.3048258163396394j, 2),
+        )
+    )
+    assert numerical_radius(compress_shift_adjoint(phi).matrix) >= 0.9999999950001
 
 
 def test_model_operator_radius_strictly_between_polygon_floor_and_one():
