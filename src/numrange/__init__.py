@@ -67,7 +67,6 @@ from .linalg import (
     HermitianEig,
     determinant,
     hermitian_eig,
-    inverse,
     norm_inf,
     rdiv,
     singular_values,
@@ -94,7 +93,6 @@ from .numerical_range import (
     support_sweep,
 )
 from .poncelet import (
-    PonceletPolygon,
     circumscription_check,
     defect_vectors,
     edge_support_gaps,

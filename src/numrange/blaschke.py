@@ -150,10 +150,6 @@ class TaylorSeries:
     coeffs: np.ndarray
     truncation_error_bound: float
 
-    def inner(self, other: "TaylorSeries") -> complex:
-        n = min(len(self.coeffs), len(other.coeffs))
-        return complex(np.sum(self.coeffs[:n] * other.coeffs[:n].conj()))
-
 
 def _kernel_series(alpha: complex, n_terms: int) -> np.ndarray:
     # (1 - |a|^2)^{1/2} / (1 - conj(a) z) as a geometric series
@@ -234,25 +230,21 @@ def _takenaka_rows(zeros: list[complex], n_terms: int) -> np.ndarray:
     """Taylor coefficients of the first len(zeros) Takenaka basis functions.
 
     Row k is the kernel series at zeros[k] times the product of the factor
-    series of zeros[:k].  Each distinct zero's two series are built once.
-    A row whose zero repeats the previous one is that row times one factor
-    series; otherwise the running factor product is brought up to date and
-    multiplied by the new kernel series.
+    series of zeros[:k].  A row whose zero repeats the previous one is that
+    row times one factor series; otherwise the running factor product is
+    brought up to date and multiplied by the new kernel series.
     """
-    series: dict[complex, tuple[np.ndarray, np.ndarray]] = {}
     rows = np.empty((len(zeros), n_terms), dtype=np.complex128)
     product, multiplied = None, 0  # product of the factor series of zeros[:multiplied]
     for k, z in enumerate(zeros):
-        if z not in series:
-            series[z] = (_kernel_series(z, n_terms), _factor_series(z, n_terms))
         if k and z == zeros[k - 1]:
-            rows[k] = np.convolve(rows[k - 1], series[z][1])[:n_terms]
+            rows[k] = np.convolve(rows[k - 1], _factor_series(z, n_terms))[:n_terms]
             continue
         for w in zeros[multiplied:k]:
-            factor = series[w][1]
+            factor = _factor_series(w, n_terms)
             product = factor if product is None else np.convolve(product, factor)[:n_terms]
         multiplied = k
-        kernel = series[z][0]
+        kernel = _kernel_series(z, n_terms)
         rows[k] = kernel if product is None else np.convolve(kernel, product)[:n_terms]
     return rows
 

@@ -120,17 +120,13 @@ def cmd_boundary(args) -> tuple[RunReport, int]:
     phi = _phi_from_args(args)
     op = compress_shift_adjoint(phi)
     sample = boundary(op.matrix, grid_size=args.grid)
-    radii = sample.radii()
-    envelope = np.max(
-        np.abs(
-            sample.points[:, 0] * np.cos(sample.thetas)
-            + sample.points[:, 1] * np.sin(sample.thetas)
-            - sample.support
-        )
-    )
-    polygon = None
+    x, y = sample.points.real, sample.points.imag
+    radii = np.hypot(x, y)
+    chord = x * np.cos(sample.thetas) + y * np.sin(sample.thetas)
+    envelope = np.max(np.abs(chord - sample.support))
+    vertices = None
     if args.vertex is not None:
-        polygon = poncelet_polygon(op.matrix, args.vertex)
+        vertices = poncelet_polygon(op.matrix, args.vertex)
     results = {
         "radius_min": float(radii.min()),
         "radius_max": float(radii.max()),
@@ -138,14 +134,14 @@ def cmd_boundary(args) -> tuple[RunReport, int]:
         "csv": args.csv,
         "svg": args.svg,
     }
-    if polygon is not None:
-        results["polygon_vertices"] = list(polygon.vertices)
+    if vertices is not None:
+        results["polygon_vertices"] = list(vertices)
     if args.csv:
         with open(args.csv, "w", encoding="ascii") as fh:
             fh.write(boundary_csv(sample))
     if args.svg:
         with open(args.svg, "w", encoding="ascii") as fh:
-            fh.write(boundary_svg(sample, polygon))
+            fh.write(boundary_svg(sample, vertices))
     inputs = _phi_inputs(phi)
     inputs["grid"] = args.grid
     if args.vertex is not None:
@@ -157,10 +153,10 @@ def cmd_boundary(args) -> tuple[RunReport, int]:
 def cmd_poncelet(args) -> tuple[RunReport, int]:
     phi = _phi_from_args(args)
     op = compress_shift_adjoint(phi)
-    polygon = poncelet_polygon(op.matrix, args.vertex)
-    gaps = edge_support_gaps(polygon, op.matrix)
+    vertices = poncelet_polygon(op.matrix, args.vertex)
+    gaps = edge_support_gaps(vertices, op.matrix)
     results = {
-        "vertices": list(polygon.vertices),
+        "vertices": list(vertices),
         "edge_gaps": list(gaps),
         "max_violation": float(np.max(gaps)),
         "svg": args.svg,
@@ -168,7 +164,7 @@ def cmd_poncelet(args) -> tuple[RunReport, int]:
     if args.svg:
         sample = boundary(op.matrix, grid_size=POLYGON_SVG_GRID)
         with open(args.svg, "w", encoding="ascii") as fh:
-            fh.write(boundary_svg(sample, polygon))
+            fh.write(boundary_svg(sample, vertices))
     inputs = _phi_inputs(phi)
     inputs["vertex"] = args.vertex
     report = RunReport(

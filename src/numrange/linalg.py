@@ -95,11 +95,6 @@ def rdiv(a, b) -> np.ndarray:
     return solve(as_square(b).T, as_matrix(a).T).T
 
 
-def inverse(a) -> np.ndarray:
-    m = as_square(a)
-    return solve(m, np.eye(m.shape[0], dtype=np.complex128))
-
-
 def determinant(a) -> complex:
     """Determinant via LU.  An exactly singular matrix gives 0, not an error."""
     return complex(np.linalg.det(as_square(a)))

@@ -58,14 +58,6 @@ class ModelOperator:
         """Matrix of the compressed multiplication by z."""
         return self.matrix.conj().T
 
-    def defect_profile(self) -> tuple[float, float]:
-        """(operator norm, second defect eigenvalue) for invariant checks."""
-        norm = linalg.spectral_norm(self.matrix)
-        gram = np.eye(self.n) - self.matrix.conj().T @ self.matrix
-        eig = linalg.hermitian_eig(gram)
-        second = float(abs(eig.values[-2])) if self.n > 1 else 0.0
-        return norm, second
-
 
 def compress_shift_adjoint(phi: BlaschkeProduct) -> ModelOperator:
     """Matrix of the adjoint compressed shift in the Takenaka basis.

@@ -12,8 +12,7 @@ from . import linalg
 
 DEFAULT_RADIUS_GRID = 256
 DEFAULT_BOUNDARY_GRID = 2048
-MIN_RADIUS_GRID = 64
-MIN_BOUNDARY_GRID = 64
+MIN_GRID = 64  # smallest grid_size of boundary and numerical_radius
 # Matrix entries per stacked eigensolve; bounds the memory of support_sweep.
 ENTRIES = 4096
 _GAIN_TOL = 4.0 * np.finfo(np.float64).eps  # relative gain below which the radius refinement stops
@@ -53,17 +52,17 @@ def support_sweep(t, thetas) -> np.ndarray:
     return _spectrum_ends(*_hermitian_parts(linalg.as_square(t)), thetas)[1]
 
 
-def _uniform_support(re_t, im_t, grid_size, minimum: int) -> tuple[np.ndarray, np.ndarray]:
+def _uniform_support(re_t, im_t, grid_size) -> tuple[np.ndarray, np.ndarray]:
     """Angles theta_k = 2 pi k / N and the support function there, for an
-    even N of at least ``minimum``, from N/2 eigensolves.
+    even N of at least ``MIN_GRID``, from N/2 eigensolves.
 
     Re(e^{-i(theta + pi)} T) = -Re(e^{-i theta} T), so the largest eigenvalue
     at theta_{k + N/2} = theta_k + pi is minus the smallest one at theta_k:
     one sweep over the first half of the grid gives both halves.
     """
     grid_size = int(grid_size)
-    if grid_size < minimum:
-        raise ValueError(f"grid_size must be at least {minimum}")
+    if grid_size < MIN_GRID:
+        raise ValueError(f"grid_size must be at least {MIN_GRID}")
     if grid_size % 2:
         raise ValueError(f"grid_size must be even, got {grid_size}")
     thetas = 2.0 * math.pi * np.arange(grid_size) / grid_size
@@ -81,25 +80,19 @@ def support_function(t, theta: float) -> float:
 class BoundarySample:
     """Boundary of W(T) parametrized by the supporting-line angle.
 
-    ``points[i]`` is (x, y) at ``thetas[i]``; the chord identity
-    x cos(theta) + y sin(theta) = support holds at every grid point by
-    construction.
+    ``points[i]`` is the complex point x + iy at ``thetas[i]``; the chord
+    identity x cos(theta) + y sin(theta) = support holds at every grid point
+    by construction.
     """
 
     thetas: np.ndarray
     support: np.ndarray
     points: np.ndarray
 
-    def points_complex(self) -> np.ndarray:
-        return self.points[:, 0] + 1j * self.points[:, 1]
-
-    def radii(self) -> np.ndarray:
-        return np.hypot(self.points[:, 0], self.points[:, 1])
-
 
 def boundary(t, grid_size: int = DEFAULT_BOUNDARY_GRID) -> BoundarySample:
     """Sample the boundary of W(T) on a uniform grid of ``grid_size`` angles
-    theta_k = 2 pi k / N.  N must be even and at least ``MIN_BOUNDARY_GRID``:
+    theta_k = 2 pi k / N.  N must be even and at least ``MIN_GRID``:
     the support function comes from N/2 eigensolves, the largest eigenvalue
     at theta_k and minus the smallest at theta_k + pi (:func:`_uniform_support`).
 
@@ -112,13 +105,13 @@ def boundary(t, grid_size: int = DEFAULT_BOUNDARY_GRID) -> BoundarySample:
     there.
     """
     m = linalg.as_square(t)
-    thetas, support = _uniform_support(*_hermitian_parts(m), grid_size, MIN_BOUNDARY_GRID)
+    thetas, support = _uniform_support(*_hermitian_parts(m), grid_size)
     h = 2.0 * math.pi / len(thetas)
     lam_p = (np.roll(support, -1) - np.roll(support, 1)) / (2.0 * h)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     x = support * cos_t - lam_p * sin_t
     y = support * sin_t + lam_p * cos_t
-    return BoundarySample(thetas=thetas, support=support, points=np.column_stack([x, y]))
+    return BoundarySample(thetas=thetas, support=support, points=x + 1j * y)
 
 
 def _top_slopes(re_t, im_t, thetas) -> tuple[np.ndarray, np.ndarray]:
@@ -155,10 +148,10 @@ def numerical_radius(t, grid_size: int = DEFAULT_RADIUS_GRID) -> float:
     t : array_like
         Square complex matrix.
     grid_size : int
-        Number of coarse angles, even and at least ``MIN_RADIUS_GRID``.
+        Number of coarse angles, even and at least ``MIN_GRID``.
     """
     re_t, im_t = _hermitian_parts(linalg.as_square(t))
-    thetas, support = _uniform_support(re_t, im_t, grid_size, MIN_RADIUS_GRID)
+    thetas, support = _uniform_support(re_t, im_t, grid_size)
     k = int(np.argmax(support))
     best, x, h = float(support[k]), float(thetas[k]), 2.0 * math.pi / len(thetas)
     lo, hi = x - h, x + h

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,25 +122,15 @@ def unitary_eigensystem(u) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-@dataclass(frozen=True)
-class PonceletPolygon:
-    """Vertices on the unit circle sorted by argument, one of which is the
-    prescribed vertex."""
-
-    vertices: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
-def poncelet_polygon(t, vertex) -> PonceletPolygon:
+def poncelet_polygon(t, vertex) -> np.ndarray:
     """Polygon of the unitary dilation of T having ``vertex`` as a vertex.
 
     The last column of the dilation U(w), w = e^{i phase}, is w times a
     fixed vector, so det(U(w) - vertex I) = w B' - vertex C with
     C = det(T - vertex I) and B' = det(U(1) - vertex I) + vertex C.  The
     phase is therefore arg(vertex C / B'), from two determinants.  Returns
-    the n+1 eigenvalues of the selected dilation sorted by argument.
+    the n+1 eigenvalues of the selected dilation, one of which is
+    ``vertex``, as a complex array sorted by argument in [0, 2 pi).
 
     Raises
     ------
@@ -177,7 +166,7 @@ def poncelet_polygon(t, vertex) -> PonceletPolygon:
         raise PhaseSearchFailureError("dilation spectrum has coinciding eigenvalues")
     if float(np.min(np.abs(verts - lam))) > VERTEX_MATCH_TOL:
         raise PhaseSearchFailureError("prescribed vertex missing from the spectrum")
-    return PonceletPolygon(vertices=verts)
+    return verts
 
 
 def _edges(vertices: np.ndarray):
@@ -194,19 +183,19 @@ def _edges(vertices: np.ndarray):
         yield normal, offset
 
 
-def edge_support_gaps(polygon, t) -> np.ndarray:
+def edge_support_gaps(vertices, t) -> np.ndarray:
     """Per-edge difference between the support of W(T) in the edge-normal
-    direction and the edge line offset.  Zero means the edge is tangent;
-    positive means the edge cuts into the range."""
-    verts = polygon.vertices if isinstance(polygon, PonceletPolygon) else polygon
-    verts = np.asarray(verts, dtype=np.complex128)
+    direction and the edge line offset, for polygon ``vertices`` in order.
+    Zero means the edge is tangent; positive means the edge cuts into the
+    range."""
+    verts = np.asarray(vertices, dtype=np.complex128)
     if len(verts) < 3:
         raise ValueError("need at least three vertices")
     normals, offsets = zip(*_edges(verts))
     return support_sweep(t, np.angle(normals)) - np.array(offsets)
 
 
-def circumscription_check(polygon, t) -> float:
+def circumscription_check(vertices, t) -> float:
     """Largest signed violation of the circumscription property.
 
     The polygon is the intersection of its edge half-planes, so it contains
@@ -215,4 +204,4 @@ def circumscription_check(polygon, t) -> float:
     value of order rounding error, a shrunk polygon a positive value, a
     non-tangent enclosing polygon a negative one.
     """
-    return float(np.max(edge_support_gaps(polygon, t)))
+    return float(np.max(edge_support_gaps(vertices, t)))

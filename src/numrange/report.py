@@ -53,23 +53,12 @@ class RunReport:
         }
         return json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        data = json.loads(text)
-        return cls(
-            command=data["command"],
-            inputs=data["inputs"],
-            results=data["results"],
-            tolerances=data["tolerances"],
-            version=data["version"],
-        )
-
 
 def boundary_csv(sample) -> str:
     """CSV rows theta,lambda,x,y with 17 significant digits."""
     lines = ["theta,lambda,x,y"]
-    for theta, lam, (x, y) in zip(sample.thetas, sample.support, sample.points):
-        lines.append(f"{theta:.17g},{lam:.17g},{x:.17g},{y:.17g}")
+    for theta, lam, p in zip(sample.thetas, sample.support, sample.points):
+        lines.append(f"{theta:.17g},{lam:.17g},{p.real:.17g},{p.imag:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -81,26 +70,20 @@ def _svg_coords(points) -> str:
     )
 
 
-def boundary_svg(sample=None, polygon=None) -> str:
-    """Static SVG of the unit circle, an optional boundary polyline and an
-    optional polygon overlay."""
+def boundary_svg(sample, vertices=None) -> str:
+    """Static SVG of the unit circle, the boundary polyline of ``sample`` and
+    an optional overlay of the polygon with complex ``vertices``."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
         f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
         f'<circle cx="{_SVG_HALF}" cy="{_SVG_HALF}" r="{_SVG_SCALE}" fill="none" '
         'stroke="#888888" stroke-width="1"/>',
+        f'<polyline points="{_svg_coords([*sample.points, sample.points[0]])}" fill="none" '
+        'stroke="#0044cc" stroke-width="1.5"/>',
     ]
-    if sample is not None:
-        pts = list(sample.points_complex())
-        pts.append(pts[0])
+    if vertices is not None:
         parts.append(
-            f'<polyline points="{_svg_coords(pts)}" fill="none" '
-            'stroke="#0044cc" stroke-width="1.5"/>'
-        )
-    if polygon is not None:
-        verts = getattr(polygon, "vertices", polygon)
-        parts.append(
-            f'<polygon points="{_svg_coords(list(verts))}" fill="none" '
+            f'<polygon points="{_svg_coords(vertices)}" fill="none" '
             'stroke="#cc2200" stroke-width="1"/>'
         )
     parts.append("</svg>")

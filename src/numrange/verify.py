@@ -112,15 +112,14 @@ def poncelet_suite(trials: int = 32, seed: int = 0) -> SuiteResult:
                 lam = np.exp(2j * math.pi * j / trials)
                 tag = f"n={n} a={a} j={j}"
                 try:
-                    poly = poncelet_polygon(t, lam)
+                    verts = poncelet_polygon(t, lam)
                 except Exception as exc:  # noqa: BLE001 - recorded, not raised
                     out.fail(f"{tag}: construction failed: {exc}")
                     continue
-                verts = poly.vertices
                 unit_err = float(np.max(np.abs(np.abs(verts) - 1.0)))
                 vert_gap = float(np.min(np.abs(verts - np.roll(verts, 1))))
                 lam_err = float(np.min(np.abs(verts - lam)))
-                gaps = edge_support_gaps(poly, t)
+                gaps = edge_support_gaps(verts, t)
                 max_violation = float(np.max(gaps))
                 rec = {
                     "n": n, "alpha": a, "vertex_index": j,

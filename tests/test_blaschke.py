@@ -232,7 +232,7 @@ def test_orthonormality_within_tail_bound():
         series = [takenaka_taylor(phi, k, 250) for k in range(1, n + 1)]
         for k in range(n):
             for l in range(n):
-                ip = series[k].inner(series[l])
+                ip = np.vdot(series[l].coeffs, series[k].coeffs)
                 slack = (
                     series[k].truncation_error_bound
                     + series[l].truncation_error_bound

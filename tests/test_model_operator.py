@@ -83,9 +83,10 @@ def test_contraction_norm_and_rank_one_defect():
     rng = np.random.default_rng(13)
     for _ in range(12):
         op = compress_shift_adjoint(random_product(rng))
-        norm, second = op.defect_profile()
-        assert norm <= 1.0 + 1e-10
-        assert second < 1e-8
+        assert spectral_norm(op.matrix) <= 1.0 + 1e-10
+        if op.n > 1:
+            defect = np.eye(op.n) - op.matrix.conj().T @ op.matrix
+            assert abs(hermitian_eig(defect).values[-2]) < 1e-8
 
 
 def test_minimal_function_annihilates():

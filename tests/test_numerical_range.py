@@ -12,7 +12,6 @@ from numrange.model_operator import (
     single_zero_matrix,
 )
 from numrange.numerical_range import (
-    MIN_BOUNDARY_GRID,
     _hermitian_parts,
     _top_slopes,
     _uniform_support,
@@ -66,21 +65,18 @@ def test_support_matches_hermitian_eig_route():
 
 def test_boundary_of_jordan_block_is_circle():
     sample = boundary(shift_matrix(2), 512)
-    assert np.max(np.abs(sample.radii() - 0.5)) < 1e-9
+    assert np.max(np.abs(np.hypot(sample.points.real, sample.points.imag) - 0.5)) < 1e-9
 
 
 def test_boundary_envelope_identity():
     sample = boundary(single_zero_matrix(0.5, 3).matrix, 256)
-    lhs = (
-        sample.points[:, 0] * np.cos(sample.thetas)
-        + sample.points[:, 1] * np.sin(sample.thetas)
-    )
+    lhs = sample.points.real * np.cos(sample.thetas) + sample.points.imag * np.sin(sample.thetas)
     assert np.max(np.abs(lhs - sample.support)) < 1e-6
 
 
 def test_boundary_of_normal_matrix_degenerates_to_segment():
     sample = boundary(np.diag([1.0, -1.0]).astype(complex), 1024)
-    assert np.max(np.abs(sample.points[:, 1])) < 1e-2
+    assert np.max(np.abs(sample.points.imag)) < 1e-2
     assert np.max(np.abs(sample.support - np.abs(np.cos(sample.thetas)))) < 1e-10
 
 
@@ -89,7 +85,7 @@ def test_boundary_points_inside_disc_for_contractions():
     for _ in range(5):
         op = compress_shift_adjoint(random_product(rng))
         sample = boundary(op.matrix, 2048)
-        assert np.max(sample.radii()) <= 1.0 + 1e-4
+        assert np.max(np.hypot(sample.points.real, sample.points.imag)) <= 1.0 + 1e-4
 
 
 def test_boundary_grid_guard():
@@ -188,7 +184,7 @@ def test_uniform_support_matches_support_sweep(n, grid):
     rng = np.random.default_rng(n)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     a /= spectral_norm(a)
-    thetas, support = _uniform_support(*_hermitian_parts(a), grid, MIN_BOUNDARY_GRID)
+    thetas, support = _uniform_support(*_hermitian_parts(a), grid)
     assert np.array_equal(thetas, 2 * math.pi * np.arange(grid) / grid)
     assert np.max(np.abs(support - support_sweep(a, thetas))) < 1e-13
 

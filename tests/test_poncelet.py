@@ -93,7 +93,7 @@ def test_unitary_eigensystem_residuals():
 def test_triangle_for_jordan_block():
     poly = poncelet_polygon(shift_matrix(2), 1.0)
     expected = np.sort_complex(np.exp(2j * math.pi * np.arange(3) / 3))
-    assert np.max(np.abs(np.sort_complex(poly.vertices) - expected)) < 1e-8
+    assert np.max(np.abs(np.sort_complex(poly) - expected)) < 1e-8
 
 
 def test_prescribed_vertex_is_hit():
@@ -102,14 +102,14 @@ def test_prescribed_vertex_is_hit():
     for _ in range(8):
         lam = cmath.exp(2j * math.pi * rng.random())
         poly = poncelet_polygon(t, lam)
-        assert min(abs(v - lam) for v in poly.vertices) < 1e-8
+        assert min(abs(v - lam) for v in poly) < 1e-8
         assert len(poly) == 4
 
 
 def test_polygon_for_imaginary_vertex():
     poly = poncelet_polygon(single_zero_matrix(0.5, 2).matrix, 1j)
     assert len(poly) == 3
-    assert np.max(np.abs(np.abs(poly.vertices) - 1.0)) < 1e-10
+    assert np.max(np.abs(np.abs(poly) - 1.0)) < 1e-10
 
 
 def test_circumscription_of_true_polygon():
@@ -132,7 +132,7 @@ def test_circumscription_of_true_polygon():
 )
 def test_circumscription_detects_shrunk_polygon(t, shrink, low, high):
     poly = poncelet_polygon(t, 1.0)
-    assert low < circumscription_check(shrink * poly.vertices, t) < high
+    assert low < circumscription_check(shrink * poly, t) < high
 
 
 def test_circumscription_detects_slack_polygon():
@@ -154,6 +154,22 @@ def test_product_sweeps_stay_tangent():
             poly = poncelet_polygon(t, lam)
             assert len(poly) == phi.degree + 1
             assert abs(circumscription_check(poly, t)) < 1e-6
+
+
+def test_polygon_is_complex_array_sorted_by_argument():
+    # the edges join consecutive vertices, so the array order must be angular
+    rng = np.random.default_rng(17)
+    for phi in (
+        BlaschkeProduct.single_zero(0.5, 2),
+        BlaschkeProduct(((0.35 - 0.25j, 2), (-0.5, 2))),
+        BlaschkeProduct(((0.6 + 0.1j, 1), (-0.2 - 0.7j, 3), (0.1, 3))),
+    ):
+        t = compress_shift_adjoint(phi).matrix
+        for _ in range(8):
+            verts = poncelet_polygon(t, cmath.exp(2j * math.pi * rng.random()))
+            assert isinstance(verts, np.ndarray) and verts.dtype == np.complex128
+            assert verts.shape == (phi.degree + 1,)
+            assert np.all(np.diff(np.angle(verts) % (2 * math.pi)) > 0.0)
 
 
 def test_rejects_vertex_off_circle():

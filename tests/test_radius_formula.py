@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -95,6 +96,32 @@ def test_formulas_match_root_system_at_large_degree():
             expected = -real_part_symbol(a, kms_root_system(a, n).roots[-1])
             assert abs(radius_single_zero(a, n) - expected) <= 1e-13
             assert abs(radius_poisson_form(a, n) - expected) <= 1e-13
+
+
+def _radius_mp(a: float, n: int):
+    """Minus the real-part symbol at the last root of the parity equation,
+    solved to 40 digits in its bracket ((n - 1) pi / (n + 1), n pi / (n + 1)]."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(a)
+        trig = mpmath.cos if n % 2 else mpmath.sin  # the parity of k = n
+        half_hi, half_lo = (n + 1) / mpmath.mpf(2), (n - 1) / mpmath.mpf(2)
+        lo, hi = (n - 1) * mpmath.pi / (n + 1), n * mpmath.pi / (n + 1)
+        t = mpmath.findroot(
+            lambda t: trig(half_hi * t) - a * trig(half_lo * t), (lo, hi), solver="anderson"
+        )
+        assert lo < t <= hi
+        return (2 * a - (1 + a * a) * mpmath.cos(t)) / (1 - 2 * a * mpmath.cos(t) + a * a)
+
+
+@pytest.mark.parametrize("a", [0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999])
+def test_radius_formulas_near_the_circle_match_mpmath(a):
+    tol = 4.0 * np.finfo(float).eps
+    for n in (1, 2, 3, 4, 8, 64, 1000):
+        exact = _radius_mp(a, n)
+        assert abs(radius_single_zero(a, n) - exact) <= tol
+        assert abs(radius_poisson_form(a, n) - exact) <= tol
+        if 2 <= n <= 4:
+            assert abs(radius_closed_form(a, n) - exact) <= tol
 
 
 def test_radius_within_polygon_bounds():
