@@ -3,6 +3,7 @@ numerical range W(T) of a square complex matrix."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,6 +16,7 @@ DEFAULT_BOUNDARY_GRID = 2048
 MIN_GRID = 64  # smallest grid_size of boundary and numerical_radius
 # Matrix entries per stacked eigensolve; bounds the memory of support_sweep.
 ENTRIES = 4096
+_STRIDE = 8  # grid cells per arc of the coarse radius sweep: pi/4 at most, as N >= MIN_GRID
 _GAIN_TOL = 4.0 * np.finfo(np.float64).eps  # relative gain below which the radius refinement stops
 
 
@@ -60,14 +62,57 @@ def _uniform_support(re_t, im_t, grid_size) -> tuple[np.ndarray, np.ndarray]:
     at theta_{k + N/2} = theta_k + pi is minus the smallest one at theta_k:
     one sweep over the first half of the grid gives both halves.
     """
-    grid_size = int(grid_size)
-    if grid_size < MIN_GRID:
-        raise ValueError(f"grid_size must be at least {MIN_GRID}")
-    if grid_size % 2:
-        raise ValueError(f"grid_size must be even, got {grid_size}")
-    thetas = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    bottom, top = _spectrum_ends(re_t, im_t, thetas[: grid_size // 2])
+    thetas = _grid(grid_size)[0]
+    bottom, top = _spectrum_ends(re_t, im_t, thetas[: len(thetas) // 2])
     return thetas, np.concatenate([top, -bottom])
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(grid_size):
+    """Read-only constants of an even grid of N >= ``MIN_GRID`` angles: theta_k =
+    2 pi k / N and, for :func:`_pruned_support`, the coarse and the other indices
+    (rows k and k + N/2, k < N/2), the arcs of the latter and cos, sin of half widths."""
+    n = int(grid_size)
+    if n < MIN_GRID:
+        raise ValueError(f"grid_size must be at least {MIN_GRID}")
+    if n % 2:
+        raise ValueError(f"grid_size must be even, got {n}")
+    coarse = np.arange(0, n // 2, _STRIDE) + [[0], [n // 2]]
+    inner = np.flatnonzero(np.arange(n // 2) % _STRIDE) + [[0], [n // 2]]
+    ends = coarse.ravel()  # in order: arc j runs from ends[j] to ends[j + 1], the last to N
+    s = math.pi / n * np.diff(ends, append=n)
+    arcs = np.searchsorted(ends, inner, side="right") - 1
+    consts = (2.0 * math.pi * np.arange(n) / n, coarse, inner, arcs, np.cos(s), np.sin(s))
+    for a in consts:
+        a.flags.writeable = False
+    return consts
+
+
+def _wedge_bound(h_a, h_b, cos_s, sin_s):
+    """Bound on the support function over an arc [c - s, c + s], 0 < s < pi/2,
+    from its values h_a and h_b at the ends, whose supporting lines meet at
+    e^{ic}(x + iy), x = (h_a + h_b) / (2 cos s), y = (h_b - h_a) / (2 sin s).
+    W(T) lies in their wedge (Uhlig 2009, Numer. Algorithms 52), so the bound
+    is |x + iy| if |y| <= x tan s (apex in the arc), else max(h_a, h_b)."""
+    x, y = (h_a + h_b) / (2.0 * cos_s), (h_b - h_a) / (2.0 * sin_s)
+    apex_in_arc = np.abs(y) * cos_s <= x * sin_s
+    return np.where(apex_in_arc, np.hypot(x, y), np.maximum(h_a, h_b))
+
+
+def _pruned_support(re_t, im_t, grid_size) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_uniform_support` at every ``_STRIDE``-th angle and in the arcs
+    between them whose :func:`_wedge_bound` reaches the largest of those values
+    less 1e-12 max(1, |largest|), far above ``eigvalsh`` rounding; -inf elsewhere."""
+    thetas, coarse, inner, arcs, cos_s, sin_s = _grid(grid_size)
+    support = np.full(len(thetas), -np.inf)
+    bottom, top = _spectrum_ends(re_t, im_t, thetas[coarse[0]])
+    support[coarse] = top, -bottom
+    h_a = support[coarse].ravel()
+    bound, best = _wedge_bound(h_a, np.roll(h_a, -1), cos_s, sin_s), float(np.max(h_a))
+    idx = inner[:, (bound >= best - 1e-12 * max(1.0, abs(best)))[arcs].any(axis=0)]
+    bottom, top = _spectrum_ends(re_t, im_t, thetas[idx[0]])
+    support[idx] = top, -bottom
+    return thetas, support
 
 
 def support_function(t, theta: float) -> float:
@@ -131,15 +176,15 @@ def numerical_radius(t, grid_size: int = DEFAULT_RADIUS_GRID) -> float:
     """Numerical radius of T, the maximum of the support function over the
     angle (lambda_min(theta) = -lambda_max(theta + pi)).
 
-    The support function on a uniform grid of ``grid_size`` angles, from
-    ``grid_size / 2`` eigensolves (:func:`_uniform_support`), locates the
-    best grid angle x.  One stacked ``eigh`` gives the support function and
-    its slope at x - h, x and x + h (:func:`_top_slopes`).  When the outer
-    slopes bracket a maximum, the bracket is cut at x and regula falsi with
-    the Illinois safeguard refines the root of the slope, one ``eigh`` per
-    step, until |slope| times the width of the bracket left, which bounds
-    the gain still possible where the support function is concave, is at most
-    ``_GAIN_TOL * max(1, best)``, or the iterate leaves the open bracket.
+    The best angle x of a uniform grid of ``grid_size`` angles, the one of
+    the full sweep, comes from the angles that a wedge bound cannot rule out
+    (:func:`_pruned_support`).  One stacked ``eigh`` gives the support
+    function and its slope at x - h, x and x + h (:func:`_top_slopes`).  When
+    the outer slopes bracket a maximum, the bracket is cut at x and regula
+    falsi (Illinois safeguard) refines the root of the slope, one ``eigh``
+    per step, until |slope| times the width of the bracket left, which bounds
+    the gain still possible where the support function is concave, is at
+    most ``_GAIN_TOL * max(1, best)``, or the iterate leaves the open bracket.
     When they do not (a plateau or a kink) the grid maximum is returned; the
     result is never below the grid maximum.
 
@@ -148,10 +193,10 @@ def numerical_radius(t, grid_size: int = DEFAULT_RADIUS_GRID) -> float:
     t : array_like
         Square complex matrix.
     grid_size : int
-        Number of coarse angles, even and at least ``MIN_GRID``.
+        Number of grid angles, even and at least ``MIN_GRID``.
     """
     re_t, im_t = _hermitian_parts(linalg.as_square(t))
-    thetas, support = _uniform_support(re_t, im_t, grid_size)
+    thetas, support = _pruned_support(re_t, im_t, grid_size)
     k = int(np.argmax(support))
     best, x, h = float(support[k]), float(thetas[k]), 2.0 * math.pi / len(thetas)
     lo, hi = x - h, x + h

@@ -5,22 +5,32 @@ import numpy as np
 import pytest
 
 from numrange.blaschke import BlaschkeProduct
+from numrange.inequalities import (
+    AnalyticSelfMap,
+    polynomial_apply,
+    random_nilpotent_contraction,
+    schwarz_pick_transform,
+)
 from numrange.linalg import hermitian_eig, spectral_norm
 from numrange.model_operator import (
     compress_shift_adjoint,
+    shift_adjoint_matrix,
     shift_matrix,
     single_zero_matrix,
 )
 from numrange.numerical_range import (
     _hermitian_parts,
+    _pruned_support,
     _top_slopes,
     _uniform_support,
+    _wedge_bound,
     boundary,
     numerical_radius,
     rotated_real_part,
     support_function,
     support_sweep,
 )
+from numrange.verify import SELF_MAPS
 
 
 def random_product(rng, max_degree=5, max_mod=0.8):
@@ -189,6 +199,57 @@ def test_uniform_support_matches_support_sweep(n, grid):
     assert np.max(np.abs(support - support_sweep(a, thetas))) < 1e-13
 
 
+def _pruning_inputs():
+    rng = np.random.default_rng(41)
+    mats = [np.zeros((1, 1)), np.zeros((4, 4))]
+    for n in range(1, 14):
+        mats += [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2)]
+    for n in (1, 2, 5, 9):
+        mats.append(shift_matrix(n))
+        mats.append(np.diag(np.exp(2j * math.pi * rng.random(n))))
+    for n in (2, 4, 6):
+        t = random_nilpotent_contraction(n, seed=n).matrix
+        for _, coeffs in SELF_MAPS:
+            f = AnalyticSelfMap(coeffs)
+            mats.append(schwarz_pick_transform(t, f, 0.3 - 0.5j))
+            mats.append(polynomial_apply(shift_adjoint_matrix(n), f))
+    return mats
+
+
+@pytest.mark.parametrize("grid", [64, 66, 130, 256, 1024])
+def test_pruned_support_matches_full_sweep(grid):
+    # half-grids 33 and 65 are not multiples of the coarse stride; W(S_n) is a
+    # disc, so nothing is pruned; unitary diagonals have kinks at the eigenvalues
+    pruned_any = 0
+    for m in _pruning_inputs():
+        parts = _hermitian_parts(m)
+        thetas, full = _uniform_support(*parts, grid)
+        pruned_thetas, pruned = _pruned_support(*parts, grid)
+        sampled = np.isfinite(pruned)
+        best = full.max()
+        assert np.array_equal(pruned_thetas, thetas)
+        assert np.array_equal(pruned[sampled], full[sampled])
+        assert np.argmax(pruned) == np.argmax(full)
+        assert np.all(full[~sampled] <= best - 1e-12 * max(1.0, abs(best)))
+        pruned_any += not sampled.all()
+    assert pruned_any >= 20
+    for n in (2, 5, 9):
+        assert np.isfinite(_pruned_support(*_hermitian_parts(shift_matrix(n)), grid)[1]).all()
+
+
+def test_wedge_bound_is_sound():
+    # no support value on an arc of width up to pi/2 exceeds the bound from the
+    # arc's ends; the shifts put the origin outside W(T) as well
+    rng = np.random.default_rng(43)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = a / spectral_norm(a) + 1.5 * complex(*rng.standard_normal(2)) * np.eye(n)
+        start, s = 2 * math.pi * rng.random(), 0.25 * math.pi * rng.random()
+        arc = support_sweep(a, start + 2 * s * np.linspace(0.0, 1.0, 512))
+        assert arc.max() <= _wedge_bound(arc[0], arc[-1], math.cos(s), math.sin(s)) + 1e-14
+
+
 def test_top_slopes_match_support_sweep():
     # eigenvalues against the eigvalsh sweep, slopes against its central differences
     rng = np.random.default_rng(31)
@@ -213,6 +274,40 @@ def test_radius_of_two_maxima_in_one_grid_cell():
         )
     )
     assert numerical_radius(compress_shift_adjoint(phi).matrix) >= 0.9999999950001
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_radius_of_two_near_equal_peaks_one_cell_apart():
+    # the best grid angle is the peak at 0; the higher peak at 1.5 h lies outside the refined cell
+    h = 2 * math.pi / 256
+    d = np.diag([1.0, (1 + 1e-5) * cmath.exp(1.5j * h)])
+    assert abs(numerical_radius(d) - 1.00001) < 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+@pytest.mark.parametrize(
+    "zeros",
+    [
+        (
+            (-0.9306572005971562 + 0.36561890675492226j, 1),
+            (-0.9996306563748967 + 0.023206913527940146j, 1),
+            (0.1617485091129636 + 0.25266068115109147j, 3),
+            (-0.34733545086357265 + 0.937634307485279j, 1),
+        ),
+        (
+            (0.045901756028380605 + 0.2964675847264099j, 2),
+            (-0.7256578446028079 - 0.5323727008087539j, 2),
+            (-0.019357926810018907 + 0.9997125990351516j, 1),
+            (0.9962296909990276 + 0.08559446694723968j, 3),
+        ),
+    ],
+    ids=["A", "B"],
+)
+def test_radius_of_peak_narrower_than_grid_spacing(zeros):
+    # the peak of the support function is narrower than 2 pi / 256
+    m = compress_shift_adjoint(BlaschkeProduct(zeros)).matrix
+    fine = _uniform_support(*_hermitian_parts(m), 65536)[1].max()
+    assert numerical_radius(m) >= fine - 1e-12
 
 
 def test_model_operator_radius_strictly_between_polygon_floor_and_one():
