@@ -20,7 +20,6 @@ import numpy as np
 from .blaschke import BlaschkeProduct, poisson_kernel, real_part_symbol
 from .errors import DuplicateZeroError, NumrangeError
 from .kms import kms_matrix, kms_root_system
-from .linalg import hermitian_eig
 from .model_operator import compress_shift_adjoint
 from .numerical_range import DEFAULT_BOUNDARY_GRID, DEFAULT_RADIUS_GRID, boundary, numerical_radius
 from .poncelet import edge_support_gaps, poncelet_polygon
@@ -179,16 +178,16 @@ def cmd_poncelet(args) -> tuple[RunReport, int]:
 def cmd_kms(args) -> tuple[RunReport, int]:
     system = kms_root_system(args.alpha, args.n)
     analytic = poisson_kernel(system.alpha, system.roots)
-    dense = hermitian_eig(kms_matrix(args.alpha, args.n)).values[::-1]
+    dense = np.linalg.eigvalsh(kms_matrix(args.alpha, args.n))[::-1]
     spectrum = real_part_symbol(system.alpha, system.roots)
     delta = float(np.max(np.abs(analytic - dense)))
     tol = TOLERANCES["dense_agreement"]
     results = {
-        "roots": list(system.roots),
-        "brackets": [list(b) for b in system.brackets],
-        "eigenvalues": list(analytic),
+        "roots": system.roots.tolist(),
+        "brackets": system.brackets.tolist(),
+        "eigenvalues": analytic.tolist(),
         "dense_delta_max": delta,
-        "real_part_spectrum": list(spectrum),
+        "real_part_spectrum": spectrum.tolist(),
         "real_part_radius": float(-spectrum[-1]),
     }
     report = RunReport(

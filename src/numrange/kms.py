@@ -7,6 +7,7 @@ The whole root system is solved at once with numpy arrays by safeguarded
 Newton steps (:func:`kms_root_system`); a single root is solved by scalar
 bisection (:func:`solve_root`).  The radius formulas use the scalar
 solver and the spectra the array one, so the two cross-check each other.
+``numrange kms`` checks the array spectra against a dense real ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def kms_matrix(alpha, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("dimension must be positive")
     idx = np.arange(n)
-    return a ** np.abs(idx[:, None] - idx[None, :]).astype(float)
+    return (a ** np.arange(n, dtype=float))[np.abs(idx[:, None] - idx[None, :])]
 
 
 def eigenvalue_equation(alpha, n: int, t: float) -> float:

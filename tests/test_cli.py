@@ -190,6 +190,18 @@ def test_kms_near_circle_agrees_with_dense_solver(capsys):
     assert data["results"]["dense_delta_max"] <= data["tolerances"]["dense_agreement"] == 1e-9
 
 
+def test_kms_dense_check_on_bench_like_inputs(capsys):
+    # alpha and n from the ranges the angles-kms benchmark draws; the real
+    # values-only dense solve agrees with the root system far inside
+    # dense_agreement = 1e-9
+    rng = np.random.default_rng(15)
+    for _ in range(30):
+        alpha, n = float(rng.uniform(0.05, 0.95)), int(rng.integers(8, 129))
+        code, out, _ = run_cli(capsys, "kms", "--alpha", repr(alpha), "--n", str(n))
+        assert code == 0
+        assert json.loads(out)["results"]["dense_delta_max"] <= 1e-12, (alpha, n)
+
+
 def test_angles_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "angles", "--zero", "0.1,0", "--zero", "-0.1,0"

@@ -31,6 +31,15 @@ def test_matrix_entries():
     assert np.allclose(m, m.T)
 
 
+@pytest.mark.parametrize("alpha", (0.0, 0.05, 0.5, 0.9, 0.9999))
+@pytest.mark.parametrize("n", (1, 2, 8, 128, 513))
+def test_matrix_matches_elementwise_powers(alpha, n):
+    # the matrix gathers n powers of alpha; each entry must be the same power
+    idx = np.arange(n)
+    elementwise = alpha ** np.abs(idx[:, None] - idx[None, :]).astype(float)
+    assert np.array_equal(kms_matrix(alpha, n), elementwise)
+
+
 def test_matrix_rejects_bad_alpha():
     with pytest.raises(AlphaOutOfRangeError):
         kms_matrix(1.0, 3)
