@@ -21,7 +21,7 @@ from .blaschke import BlaschkeProduct, poisson_kernel, real_part_symbol
 from .errors import DuplicateZeroError, NumrangeError
 from .kms import kms_matrix, kms_root_system
 from .model_operator import compress_shift_adjoint
-from .numerical_range import DEFAULT_BOUNDARY_GRID, DEFAULT_RADIUS_GRID, boundary, numerical_radius
+from .numerical_range import DEFAULT_BOUNDARY_GRID, boundary, numerical_radius
 from .poncelet import edge_support_gaps, poncelet_polygon
 from .radius import radius_closed_form, radius_single_zero
 from .report import RunReport, boundary_csv, boundary_svg
@@ -82,7 +82,7 @@ def cmd_radius(args) -> tuple[RunReport, int]:
     phi = _phi_from_args(args)
     op = compress_shift_adjoint(phi)
     n = op.n
-    eigen = numerical_radius(op.matrix, grid_size=args.grid)
+    eigen = numerical_radius(op.matrix)
     results: dict = {"degree": n, "eigen_radius": eigen}
     if n >= 2:
         results["polygon_floor"] = math.cos(math.pi / n)
@@ -104,11 +104,9 @@ def cmd_radius(args) -> tuple[RunReport, int]:
             pass
     if agreement:
         results["agreement"] = agreement
-    inputs = _phi_inputs(phi)
-    inputs["grid"] = args.grid
     report = RunReport(
         command="radius",
-        inputs=inputs,
+        inputs=_phi_inputs(phi),
         results=results,
         tolerances={"radius_agreement": TOLERANCES["radius_agreement"]},
     )
@@ -280,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radius", help="numerical radius by several methods")
     _add_operator_args(p)
-    p.add_argument("--grid", type=int, default=DEFAULT_RADIUS_GRID)
     p.set_defaults(func=cmd_radius)
 
     p = sub.add_parser("boundary", help="boundary of the numerical range")

@@ -3,7 +3,6 @@ numerical range W(T) of a square complex matrix."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -11,12 +10,11 @@ import numpy as np
 
 from . import linalg
 
-DEFAULT_RADIUS_GRID = 256
 DEFAULT_BOUNDARY_GRID = 2048
-MIN_GRID = 64  # smallest grid_size of boundary and numerical_radius
+MIN_GRID = 64  # smallest grid_size of boundary
 # Matrix entries per stacked eigensolve; bounds the memory of support_sweep.
 ENTRIES = 4096
-_STRIDE = 8  # grid cells per arc of the coarse radius sweep: pi/4 at most, as N >= MIN_GRID
+_SEED = 16  # angles of the sweep that seeds the radius search
 _GAIN_TOL = 4.0 * np.finfo(np.float64).eps  # relative gain below which the radius refinement stops
 
 
@@ -56,63 +54,15 @@ def support_sweep(t, thetas) -> np.ndarray:
 
 def _uniform_support(re_t, im_t, grid_size) -> tuple[np.ndarray, np.ndarray]:
     """Angles theta_k = 2 pi k / N and the support function there, for an
-    even N of at least ``MIN_GRID``, from N/2 eigensolves.
+    even N, from N/2 eigensolves.
 
     Re(e^{-i(theta + pi)} T) = -Re(e^{-i theta} T), so the largest eigenvalue
     at theta_{k + N/2} = theta_k + pi is minus the smallest one at theta_k:
     one sweep over the first half of the grid gives both halves.
     """
-    thetas = _grid(grid_size)[0]
-    bottom, top = _spectrum_ends(re_t, im_t, thetas[: len(thetas) // 2])
+    thetas = 2.0 * math.pi * np.arange(grid_size) / grid_size
+    bottom, top = _spectrum_ends(re_t, im_t, thetas[: grid_size // 2])
     return thetas, np.concatenate([top, -bottom])
-
-
-@functools.lru_cache(maxsize=8)
-def _grid(grid_size):
-    """Read-only constants of an even grid of N >= ``MIN_GRID`` angles: theta_k =
-    2 pi k / N and, for :func:`_pruned_support`, the coarse and the other indices
-    (rows k and k + N/2, k < N/2), the arcs of the latter and cos, sin of half widths."""
-    n = int(grid_size)
-    if n < MIN_GRID:
-        raise ValueError(f"grid_size must be at least {MIN_GRID}")
-    if n % 2:
-        raise ValueError(f"grid_size must be even, got {n}")
-    coarse = np.arange(0, n // 2, _STRIDE) + [[0], [n // 2]]
-    inner = np.flatnonzero(np.arange(n // 2) % _STRIDE) + [[0], [n // 2]]
-    ends = coarse.ravel()  # in order: arc j runs from ends[j] to ends[j + 1], the last to N
-    s = math.pi / n * np.diff(ends, append=n)
-    arcs = np.searchsorted(ends, inner, side="right") - 1
-    consts = (2.0 * math.pi * np.arange(n) / n, coarse, inner, arcs, np.cos(s), np.sin(s))
-    for a in consts:
-        a.flags.writeable = False
-    return consts
-
-
-def _wedge_bound(h_a, h_b, cos_s, sin_s):
-    """Bound on the support function over an arc [c - s, c + s], 0 < s < pi/2,
-    from its values h_a and h_b at the ends, whose supporting lines meet at
-    e^{ic}(x + iy), x = (h_a + h_b) / (2 cos s), y = (h_b - h_a) / (2 sin s).
-    W(T) lies in their wedge (Uhlig 2009, Numer. Algorithms 52), so the bound
-    is |x + iy| if |y| <= x tan s (apex in the arc), else max(h_a, h_b)."""
-    x, y = (h_a + h_b) / (2.0 * cos_s), (h_b - h_a) / (2.0 * sin_s)
-    apex_in_arc = np.abs(y) * cos_s <= x * sin_s
-    return np.where(apex_in_arc, np.hypot(x, y), np.maximum(h_a, h_b))
-
-
-def _pruned_support(re_t, im_t, grid_size) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_uniform_support` at every ``_STRIDE``-th angle and in the arcs
-    between them whose :func:`_wedge_bound` reaches the largest of those values
-    less 1e-12 max(1, |largest|), far above ``eigvalsh`` rounding; -inf elsewhere."""
-    thetas, coarse, inner, arcs, cos_s, sin_s = _grid(grid_size)
-    support = np.full(len(thetas), -np.inf)
-    bottom, top = _spectrum_ends(re_t, im_t, thetas[coarse[0]])
-    support[coarse] = top, -bottom
-    h_a = support[coarse].ravel()
-    bound, best = _wedge_bound(h_a, np.roll(h_a, -1), cos_s, sin_s), float(np.max(h_a))
-    idx = inner[:, (bound >= best - 1e-12 * max(1.0, abs(best)))[arcs].any(axis=0)]
-    bottom, top = _spectrum_ends(re_t, im_t, thetas[idx[0]])
-    support[idx] = top, -bottom
-    return thetas, support
 
 
 def support_function(t, theta: float) -> float:
@@ -150,6 +100,10 @@ def boundary(t, grid_size: int = DEFAULT_BOUNDARY_GRID) -> BoundarySample:
     there.
     """
     m = linalg.as_square(t)
+    if grid_size < MIN_GRID:
+        raise ValueError(f"grid_size must be at least {MIN_GRID}")
+    if grid_size % 2:
+        raise ValueError(f"grid_size must be even, got {grid_size}")
     thetas, support = _uniform_support(*_hermitian_parts(m), grid_size)
     h = 2.0 * math.pi / len(thetas)
     lam_p = (np.roll(support, -1) - np.roll(support, 1)) / (2.0 * h)
@@ -172,34 +126,19 @@ def _top_slopes(re_t, im_t, thetas) -> tuple[np.ndarray, np.ndarray]:
     return vals[:, -1], slopes
 
 
-def numerical_radius(t, grid_size: int = DEFAULT_RADIUS_GRID) -> float:
-    """Numerical radius of T, the maximum of the support function over the
-    angle (lambda_min(theta) = -lambda_max(theta + pi)).
+def _refine(re_t, im_t, lo, x, hi, best) -> float:
+    """Largest support value found by refining from x in the bracket [lo, hi],
+    and at least ``best``.
 
-    The best angle x of a uniform grid of ``grid_size`` angles, the one of
-    the full sweep, comes from the angles that a wedge bound cannot rule out
-    (:func:`_pruned_support`).  One stacked ``eigh`` gives the support
-    function and its slope at x - h, x and x + h (:func:`_top_slopes`).  When
-    the outer slopes bracket a maximum, the bracket is cut at x and regula
-    falsi (Illinois safeguard) refines the root of the slope, one ``eigh``
-    per step, until |slope| times the width of the bracket left, which bounds
-    the gain still possible where the support function is concave, is at
-    most ``_GAIN_TOL * max(1, best)``, or the iterate leaves the open bracket.
-    When they do not (a plateau or a kink) the grid maximum is returned; the
-    result is never below the grid maximum.
-
-    Parameters
-    ----------
-    t : array_like
-        Square complex matrix.
-    grid_size : int
-        Number of grid angles, even and at least ``MIN_GRID``.
+    One stacked ``eigh`` gives the support function and its slope at lo, x
+    and hi (:func:`_top_slopes`).  When the outer slopes bracket a maximum,
+    the bracket is cut at x and regula falsi (Illinois safeguard) refines the
+    root of the slope, one ``eigh`` per step, until |slope| times the width of
+    the bracket left, which bounds the gain still possible where the support
+    function is concave, is at most ``_GAIN_TOL * max(1, best)``, or the
+    iterate leaves the open bracket.  When they do not (a plateau or a kink)
+    ``best`` is returned.
     """
-    re_t, im_t = _hermitian_parts(linalg.as_square(t))
-    thetas, support = _pruned_support(re_t, im_t, grid_size)
-    k = int(np.argmax(support))
-    best, x, h = float(support[k]), float(thetas[k]), 2.0 * math.pi / len(thetas)
-    lo, hi = x - h, x + h
     (_, lam, _), (slope_lo, slope, slope_hi) = _top_slopes(re_t, im_t, [lo, x, hi])
     if not slope_lo > 0.0 > slope_hi:
         return best
@@ -220,3 +159,63 @@ def numerical_radius(t, grid_size: int = DEFAULT_RADIUS_GRID) -> float:
         if not lo < x < hi:
             return best
         (lam,), (slope,) = _top_slopes(re_t, im_t, [x])
+
+
+def _level_crossings(re_t, im_t, phi0, u) -> np.ndarray:
+    """Angles theta at which u is an eigenvalue of Re(e^{-i theta} T), for a
+    level u at which P + uI is positive definite, P = Re(e^{-i phi0} T).
+
+    With Q = Re(e^{-i(phi0 + pi/2)} T) and t = tan((theta - phi0) / 2),
+    det(Re(e^{-i theta} T) - uI) vanishes where det(t^2 (P + uI) - 2tQ - (P - uI))
+    does (He & Watson 1997, IMA J. Numer. Anal. 17).  With P + uI = CC* and
+    Y = C^{-1} its roots t are the eigenvalues of [[0, I], [I - 2uYY*, 2YQY*]];
+    the real ones, to 1e-8 relative, give the angles.  The tolerance errs
+    loose: a spurious angle only costs the caller one more sample.
+    """
+    c, s, n = math.cos(phi0), math.sin(phi0), len(re_t)
+    eye = np.eye(n)
+    y = np.linalg.inv(np.linalg.cholesky(c * re_t + s * im_t + u * eye))
+    yh = y.conj().T
+    companion = np.zeros((2 * n, 2 * n), dtype=complex)
+    companion[:n, n:], companion[n:, :n] = eye, eye - 2.0 * u * (y @ yh)
+    companion[n:, n:] = 2.0 * (y @ (c * im_t - s * re_t) @ yh)
+    roots = np.linalg.eigvals(companion)
+    real = roots.real[np.abs(roots.imag) <= 1e-8 * np.maximum(1.0, np.abs(roots))]
+    return phi0 + 2.0 * np.arctan(real)
+
+
+def numerical_radius(t) -> float:
+    """Numerical radius of T, the maximum of the support function over the
+    angle (lambda_min(theta) = -lambda_max(theta + pi)).
+
+    A sweep of ``_SEED`` uniform angles seeds the search, and :func:`_refine`
+    climbs from the best of them within one grid spacing.  Then a level-set
+    test (Mengi & Overton 2005, IMA J. Numer. Anal. 25) asks whether any angle
+    reaches the level best + 1e-12 max(1, best): :func:`_level_crossings`
+    cuts the circle into arcs on which the support function stays on one
+    side of the level.  If there are none, or no arc midpoint exceeds the
+    level, the best value is returned; else :func:`_refine` climbs in the arc
+    of the highest midpoint and the test repeats at a higher level.
+
+    The test runs at phi0 = pi plus the seed angle of the smallest support
+    value, so that P + uI is positive definite for every level u above it.
+    A failed Cholesky factorization propagates as ``LinAlgError``: it is not
+    read as "no crossing".
+    """
+    re_t, im_t = _hermitian_parts(linalg.as_square(t))
+    thetas, support = _uniform_support(re_t, im_t, _SEED)
+    k, h = int(np.argmax(support)), 2.0 * math.pi / _SEED
+    best = _refine(re_t, im_t, thetas[k] - h, thetas[k], thetas[k] + h, float(support[k]))
+    phi0 = float(thetas[np.argmin(support)]) + math.pi
+    while True:
+        level = best + 1e-12 * max(1.0, best)
+        ends = np.sort(_level_crossings(re_t, im_t, phi0, level) % (2.0 * math.pi))
+        if not len(ends):
+            return best
+        ends = np.append(ends, ends[0] + 2.0 * math.pi)
+        mids = 0.5 * (ends[:-1] + ends[1:])
+        values = _spectrum_ends(re_t, im_t, mids)[1]
+        j = int(np.argmax(values))
+        if values[j] <= level:
+            return best
+        best = _refine(re_t, im_t, ends[j], mids[j], ends[j + 1], float(values[j]))

@@ -103,12 +103,21 @@ def test_boundary_grid_too_small(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("command", ["radius", "boundary"])
+@pytest.mark.parametrize("command", ["boundary"])
 def test_odd_grid_is_usage_error(capsys, command):
     code, out, err = run_cli(capsys, command, "--alpha", "0.4,0", "--n", "3", "--grid", "255")
     assert code == 2
     assert out == ""
     assert "even" in err
+
+
+def test_radius_has_no_grid_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["radius", "--alpha", "0.4,0", "--n", "3", "--grid", "256"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--grid" in captured.err
 
 
 def test_boundary_svg_written(tmp_path, capsys):

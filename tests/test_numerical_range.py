@@ -20,10 +20,9 @@ from numrange.model_operator import (
 )
 from numrange.numerical_range import (
     _hermitian_parts,
-    _pruned_support,
+    _level_crossings,
     _top_slopes,
     _uniform_support,
-    _wedge_bound,
     boundary,
     numerical_radius,
     rotated_real_part,
@@ -120,13 +119,6 @@ def test_radius_of_single_zero_degree_two():
     assert abs(numerical_radius(single_zero_matrix(0.5, 2).matrix) - 0.875) < 1e-10
 
 
-def test_radius_grid_guard():
-    with pytest.raises(ValueError):
-        numerical_radius(np.eye(2), grid_size=32)
-    with pytest.raises(ValueError, match="even"):
-        numerical_radius(np.eye(2), grid_size=255)
-
-
 def test_radius_result_at_least_grid_max():
     m = single_zero_matrix(0.3 + 0.4j, 5).matrix
     r = numerical_radius(m)
@@ -199,7 +191,7 @@ def test_uniform_support_matches_support_sweep(n, grid):
     assert np.max(np.abs(support - support_sweep(a, thetas))) < 1e-13
 
 
-def _pruning_inputs():
+def _radius_inputs():
     rng = np.random.default_rng(41)
     mats = [np.zeros((1, 1)), np.zeros((4, 4))]
     for n in range(1, 14):
@@ -214,40 +206,6 @@ def _pruning_inputs():
             mats.append(schwarz_pick_transform(t, f, 0.3 - 0.5j))
             mats.append(polynomial_apply(shift_adjoint_matrix(n), f))
     return mats
-
-
-@pytest.mark.parametrize("grid", [64, 66, 130, 256, 1024])
-def test_pruned_support_matches_full_sweep(grid):
-    # half-grids 33 and 65 are not multiples of the coarse stride; W(S_n) is a
-    # disc, so nothing is pruned; unitary diagonals have kinks at the eigenvalues
-    pruned_any = 0
-    for m in _pruning_inputs():
-        parts = _hermitian_parts(m)
-        thetas, full = _uniform_support(*parts, grid)
-        pruned_thetas, pruned = _pruned_support(*parts, grid)
-        sampled = np.isfinite(pruned)
-        best = full.max()
-        assert np.array_equal(pruned_thetas, thetas)
-        assert np.array_equal(pruned[sampled], full[sampled])
-        assert np.argmax(pruned) == np.argmax(full)
-        assert np.all(full[~sampled] <= best - 1e-12 * max(1.0, abs(best)))
-        pruned_any += not sampled.all()
-    assert pruned_any >= 20
-    for n in (2, 5, 9):
-        assert np.isfinite(_pruned_support(*_hermitian_parts(shift_matrix(n)), grid)[1]).all()
-
-
-def test_wedge_bound_is_sound():
-    # no support value on an arc of width up to pi/2 exceeds the bound from the
-    # arc's ends; the shifts put the origin outside W(T) as well
-    rng = np.random.default_rng(43)
-    for _ in range(300):
-        n = int(rng.integers(1, 9))
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a = a / spectral_norm(a) + 1.5 * complex(*rng.standard_normal(2)) * np.eye(n)
-        start, s = 2 * math.pi * rng.random(), 0.25 * math.pi * rng.random()
-        arc = support_sweep(a, start + 2 * s * np.linspace(0.0, 1.0, 512))
-        assert arc.max() <= _wedge_bound(arc[0], arc[-1], math.cos(s), math.sin(s)) + 1e-14
 
 
 def test_top_slopes_match_support_sweep():
@@ -276,15 +234,25 @@ def test_radius_of_two_maxima_in_one_grid_cell():
     assert numerical_radius(compress_shift_adjoint(phi).matrix) >= 0.9999999950001
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
-def test_radius_of_two_near_equal_peaks_one_cell_apart():
-    # the best grid angle is the peak at 0; the higher peak at 1.5 h lies outside the refined cell
+def _two_near_equal_peaks():
+    # support peaks 1 at angle 0 and 1.00001 at 1.5 h, h = 2 pi / 256: a search that
+    # refines only around the best sampled angle settles on the lower peak
     h = 2 * math.pi / 256
-    d = np.diag([1.0, (1 + 1e-5) * cmath.exp(1.5j * h)])
-    assert abs(numerical_radius(d) - 1.00001) < 1e-12
+    return np.diag([1.0, (1 + 1e-5) * cmath.exp(1.5j * h)])
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_radius_of_two_near_equal_peaks_one_cell_apart():
+    assert abs(numerical_radius(_two_near_equal_peaks()) - 1.00001) < 1e-12
+
+
+def test_radius_of_rotations_of_two_near_equal_peaks():
+    # w(e^{i psi} D) = w(D): a rotation moves the peaks against the seed angles
+    d = _two_near_equal_peaks()
+    radii = [numerical_radius(cmath.exp(2j * math.pi * j / 97) * d) for j in range(97)]
+    assert max(radii) - min(radii) < 1e-12
+    assert max(abs(r - 1.00001) for r in radii) < 1e-12
+
+
 @pytest.mark.parametrize(
     "zeros",
     [
@@ -308,6 +276,60 @@ def test_radius_of_peak_narrower_than_grid_spacing(zeros):
     m = compress_shift_adjoint(BlaschkeProduct(zeros)).matrix
     fine = _uniform_support(*_hermitian_parts(m), 65536)[1].max()
     assert numerical_radius(m) >= fine - 1e-12
+
+
+def _model_operators():
+    # two products of distinct zeros with |z| <= 0.9 at each of n = 16 and n = 64
+    rng = np.random.default_rng(47)
+    mats = []
+    for n in (16, 16, 64, 64):
+        zeros = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * math.pi * rng.random(n))
+        mats.append(compress_shift_adjoint(BlaschkeProduct(tuple((complex(z), 1) for z in zeros))).matrix)
+    return mats
+
+
+def test_radius_reaches_fine_sweep_maximum():
+    # the level test finds any peak that the 16-angle seed sweep misses
+    for m in _radius_inputs() + _model_operators():
+        w = numerical_radius(m)
+        fine = _uniform_support(*_hermitian_parts(m), 4096)[1].max()
+        assert w >= fine - 1e-13 * max(1.0, w)
+
+
+def test_radius_of_discs():
+    # W(S_n) is a disc about 0, so P + uI is singular to within 1e-12 u at every level
+    for n in range(1, 65):
+        expected = math.cos(math.pi / (n + 1))
+        assert abs(numerical_radius(shift_matrix(n)) - expected) < 1e-14
+        assert abs(numerical_radius(1e3j * shift_matrix(n)) - 1e3 * expected) < 1e-11
+
+
+def test_radius_of_degenerate_inputs():
+    assert numerical_radius(np.zeros((1, 1))) == 0.0
+    assert numerical_radius(np.zeros((5, 5))) == 0.0
+    assert abs(numerical_radius(np.eye(4)) - 1.0) < 1e-15
+    assert abs(numerical_radius(np.array([[0.3 - 0.4j]])) - 0.5) < 1e-15
+    unitary = np.diag(np.exp(2j * math.pi * np.array([0.1, 0.35, 0.8])))
+    assert abs(numerical_radius(unitary) - 1.0) < 1e-14
+
+
+def test_level_crossings_bracket_every_sign_change():
+    rng = np.random.default_rng(53)
+    grid = 2 * math.pi * np.arange(4096) / 4096
+    mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in range(1, 14)]
+    for m in mats + _model_operators():
+        parts = _hermitian_parts(m)
+        support = _uniform_support(*parts, len(grid))[1]
+        phi0 = grid[np.argmin(support)] + math.pi  # P + uI > 0 for u above the smallest support
+        lo, hi = support.min(), support.max()
+        for u in lo + (hi - lo) * np.array([0.05, 0.5, 0.95]):
+            thetas = _level_crossings(*parts, phi0, u)
+            for theta in thetas:
+                gap = np.abs(np.linalg.eigvalsh(rotated_real_part(m, theta)) - u).min()
+                assert gap <= 1e-8 * max(1.0, abs(u))
+            changes = np.count_nonzero(np.diff(np.sign(np.append(support, support[0]) - u)))
+            assert len(thetas) >= changes
+        assert len(_level_crossings(*parts, phi0, numerical_radius(m) * (1 + 1e-9))) == 0
 
 
 def test_model_operator_radius_strictly_between_polygon_floor_and_one():
