@@ -19,7 +19,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, poisson_kernel, real_part_symbol
 from .errors import DuplicateZeroError, NumrangeError
-from .kms import kms_matrix, kms_root_system
+from .kms import kms_dense_eigenvalues, kms_root_system
 from .model_operator import compress_shift_adjoint
 from .numerical_range import DEFAULT_BOUNDARY_GRID, boundary, numerical_radius
 from .poncelet import edge_support_gaps, poncelet_polygon
@@ -176,7 +176,7 @@ def cmd_poncelet(args) -> tuple[RunReport, int]:
 def cmd_kms(args) -> tuple[RunReport, int]:
     system = kms_root_system(args.alpha, args.n)
     analytic = poisson_kernel(system.alpha, system.roots)
-    dense = np.linalg.eigvalsh(kms_matrix(args.alpha, args.n))[::-1]
+    dense = kms_dense_eigenvalues(args.alpha, args.n)
     spectrum = real_part_symbol(system.alpha, system.roots)
     delta = float(np.max(np.abs(analytic - dense)))
     tol = TOLERANCES["dense_agreement"]

@@ -44,14 +44,8 @@ class RunReport:
     version: str = VERSION
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "tolerances": self.tolerances,
-            "version": self.version,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+        # one key-sorted line from the C encoder, which any indent would bypass
+        return json.dumps(vars(self), sort_keys=True, default=_json_default) + "\n"
 
 
 def boundary_csv(sample) -> str:

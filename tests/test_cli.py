@@ -6,7 +6,7 @@ import pytest
 
 from numrange.blaschke import BlaschkeProduct
 from numrange.cli import build_parser, main
-from numrange.report import RunReport, boundary_csv, boundary_svg
+from numrange.report import RunReport, _json_default, boundary_csv, boundary_svg
 from numrange.numerical_range import boundary
 from numrange.model_operator import compress_shift_adjoint, shift_matrix
 from numrange.poncelet import circumscription_check, edge_support_gaps, poncelet_polygon
@@ -282,6 +282,27 @@ def test_report_roundtrip_is_byte_identical():
         "tolerances": report.tolerances,
         "version": report.version,
     }
+
+
+def test_report_is_one_key_sorted_line():
+    # numpy values, complex numbers and nested keys out of order, as the commands produce them
+    report = RunReport(
+        command="kms",
+        inputs={"n": np.int64(3), "alpha": 0.5},
+        results={"roots": np.array([0.5, 1.5]), "vertex": 0.6 + 0.8j, "ok": np.bool_(True),
+                 "nested": {"b": [1.0, {"d": 2, "c": 3}], "a": None}},
+        tolerances={"dense_agreement": 1e-9},
+    )
+    payload = {
+        "command": report.command,
+        "inputs": report.inputs,
+        "results": report.results,
+        "tolerances": report.tolerances,
+        "version": report.version,
+    }
+    text = report.to_json()
+    assert text == json.dumps(payload, sort_keys=True, default=_json_default) + "\n"
+    assert text.index("\n") == len(text) - 1
 
 
 def test_out_flag_writes_report(tmp_path, capsys):

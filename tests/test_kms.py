@@ -8,6 +8,7 @@ from numrange.errors import AlphaOutOfRangeError, TOutOfRangeError
 from numrange.kms import (
     BISECTION_WIDTH,
     eigenvalue_equation,
+    kms_dense_eigenvalues,
     kms_eigenvalues,
     kms_matrix,
     kms_root_system,
@@ -124,6 +125,32 @@ def test_roots_interlace_grid():
             assert grid[k - 1] < system.roots[k - 1] <= grid[k]
 
 
+def _bisection_with_parity_equation(alpha, n, k):
+    # solve_root's bisection as written with the public parity_equation
+    lo, hi = (k - 1) * math.pi / (n + 1), k * math.pi / (n + 1)
+    f_lo = parity_equation(alpha, n, k, lo)
+    if parity_equation(alpha, n, k, hi) == 0.0:
+        return hi
+    t = 0.5 * (lo + hi)
+    while lo < t < hi:
+        f_t = parity_equation(alpha, n, k, t)
+        if f_t == 0.0:
+            return t
+        if (f_t > 0.0) == (f_lo > 0.0):
+            lo, f_lo = t, f_t
+        else:
+            hi = t
+        t = 0.5 * (lo + hi)
+    return t
+
+
+@pytest.mark.parametrize("alpha", (1e-6, 0.3, 0.9, 0.9999, 0.999999))
+@pytest.mark.parametrize("n", (1, 2, 3, 8, 128, 1000))
+def test_solve_root_is_bit_identical_to_parity_equation_bisection(alpha, n):
+    for k in sorted({1, (n + 1) // 2, n}):
+        assert solve_root(alpha, n, k) == _bisection_with_parity_equation(alpha, n, k)
+
+
 def test_root_residuals():
     for alpha in (0.3, 0.9):
         n = 25
@@ -133,7 +160,7 @@ def test_root_residuals():
             assert abs(eigenvalue_equation(alpha, n, t)) < 1e-9
 
 
-ARRAY_ALPHAS = (0.01, 0.3, 0.5, 0.9, 0.99)
+ARRAY_ALPHAS = (1e-6, 0.01, 0.3, 0.5, 0.9, 0.99, 0.9999)
 ARRAY_DEGREES = (1, 2, 3, 8, 57, 128)
 
 
@@ -169,6 +196,14 @@ def test_eigenvalues_match_dense_solver_at_large_degree(n):
         analytic = kms_eigenvalues(alpha, n)
         dense = np.linalg.eigvalsh(kms_matrix(alpha, n))[::-1]
         assert np.max(np.abs(analytic - dense)) <= 1e-9
+
+
+@pytest.mark.parametrize("alpha", (0.0, 0.05, 0.5, 0.9, 0.9999))
+@pytest.mark.parametrize("n", (*range(1, 34), 128, 129, 513))
+def test_parity_blocks_give_the_full_dense_spectrum(alpha, n):
+    full = np.linalg.eigvalsh(kms_matrix(alpha, n))[::-1]
+    blocks = kms_dense_eigenvalues(alpha, n)
+    assert np.max(np.abs(blocks - full)) <= 1e-12 * max(1.0, full[0])
 
 
 def test_eigenvalues_at_zero():
