@@ -5,7 +5,7 @@ numerical ranges and radii by independent routes (closed formulas,
 trigonometric root systems, dense eigenvalue sweeps), constructs the
 circumscribing polygons coming from unitary dilations, and certifies the
 Schwarz-Pick and Haagerup-de la Harpe inequalities for nilpotent
-contractions together with subspace-angle radius estimates.
+contractions, and measures the angles between model spaces.
 """
 
 from .blaschke import (
@@ -106,7 +106,6 @@ from .subspaces import (
     AngleReport,
     RadiusEstimate,
     cross_gram,
-    g_bound,
     radius_estimate,
     sin_angle_lower_bound,
     subspace_cos_angle,

@@ -116,12 +116,12 @@ def _poisson_denominator(a: float, t):
 def poisson_kernel(alpha, t):
     """P_a(e^{it}) = (1 - a^2) / (1 - 2 a cos t + a^2) for real a in [0, 1).
 
-    The denominator is evaluated as (1 - a)^2 + 4 a sin^2(t/2), which
-    keeps full relative accuracy for a near 1 and small t.  ``t`` may be a
+    The numerator (1 - a)(1 + a) and the denominator (1 - a)^2 + 4 a sin^2(t/2)
+    keep full relative accuracy for a near 1 and small t.  ``t`` may be a
     number or an array of angles.
     """
     a = _unit_interval(alpha)
-    return (1.0 - a * a) / _poisson_denominator(a, t)
+    return (1.0 - a) * (1.0 + a) / _poisson_denominator(a, t)
 
 
 def real_part_symbol(alpha, t):
@@ -191,10 +191,10 @@ def _tail_bound(factor_zeros, kernel_zero: complex, n_terms: int) -> float:
     log_binom = (
         math.lgamma(n_terms + q) - math.lgamma(n_terms + 1) - math.lgamma(q)
     )
-    log_bound = (
+    log_tail = (
         log_k + log_binom + n_terms * math.log(rho) - math.log(1.0 - growth * rho)
     )
-    return math.exp(min(log_bound, 700.0))
+    return math.exp(min(log_tail, 700.0))
 
 
 def default_truncation(*phis: BlaschkeProduct) -> int:

@@ -18,14 +18,14 @@ import sys
 import numpy as np
 
 from .blaschke import BlaschkeProduct, poisson_kernel, real_part_symbol
-from .errors import DuplicateZeroError, NumrangeError
+from .errors import NumrangeError
 from .kms import kms_dense_eigenvalues, kms_root_system
 from .model_operator import compress_shift_adjoint
 from .numerical_range import DEFAULT_BOUNDARY_GRID, boundary, numerical_radius
 from .poncelet import edge_support_gaps, poncelet_polygon
 from .radius import radius_closed_form, radius_single_zero
 from .report import RunReport, boundary_csv, boundary_svg
-from .subspaces import RadiusEstimate, radius_estimate
+from .subspaces import radius_estimate
 from .verify import SUITES, TOLERANCES
 
 EXIT_OK = 0
@@ -74,10 +74,6 @@ def _phi_inputs(phi: BlaschkeProduct) -> dict:
     return {"zeros": [[z.real, z.imag, m] for z, m in phi.factors], "degree": phi.degree}
 
 
-def _estimate_results(est: RadiusEstimate) -> dict:
-    return {"rho": est.rho, "delta": est.delta, "applicable": est.applicable, "bound": est.bound}
-
-
 def cmd_radius(args) -> tuple[RunReport, int]:
     phi = _phi_from_args(args)
     op = compress_shift_adjoint(phi)
@@ -96,12 +92,6 @@ def cmd_radius(args) -> tuple[RunReport, int]:
             closed = radius_closed_form(zero, n)
             results["closed_form_radius"] = closed
             agreement["closed_vs_formula"] = abs(closed - formula)
-    else:
-        factors = [BlaschkeProduct.single_zero(z, m) for z, m in phi.factors]
-        try:
-            results["estimate"] = _estimate_results(radius_estimate(factors))
-        except DuplicateZeroError:
-            pass
     if agreement:
         results["agreement"] = agreement
     report = RunReport(
@@ -210,12 +200,8 @@ def cmd_angles(args) -> tuple[RunReport, int]:
     ]
     results = {
         "pairs": pairs,
-        "estimate": _estimate_results(est),
-        "estimate_proxy": {
-            "rho": proxy.rho,
-            "applicable": proxy.applicable,
-            "bound": proxy.bound,
-        },
+        "estimate": {"rho": est.rho, "delta": est.delta},
+        "estimate_proxy": {"rho": proxy.rho},
     }
     inputs = {"zeros": [[z.real, z.imag, m] for z, m in args.zero]}
     report = RunReport(

@@ -108,7 +108,8 @@ def solve_root(alpha, n: int, k: int) -> float:
     def parity(t: float) -> float:
         return trig(half_hi * t) - a * trig(half_lo * t)
     lo = (k - 1) * math.pi / (n + 1)
-    f_lo, f_hi = parity(lo), parity(hi)
+    # at hi the first term is trig(k pi / 2) = 0, whose rounding swamps an a below 1e-14
+    f_lo, f_hi = parity(lo), -a * trig(half_lo * hi)
     if f_hi == 0.0:
         return hi
     if f_lo == 0.0 or (f_lo > 0.0) == (f_hi > 0.0):

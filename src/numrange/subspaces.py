@@ -3,14 +3,12 @@
 Computes cross-Gram matrices of Takenaka bases exactly, from a triangular
 Stein equation, with the certified Taylor truncation kept as an
 independent cross-check; the smallest principal angle between two model
-spaces, the zero-separation lower bound on its sine, and the resulting
-numerical radius estimate for products whose factors have well-separated
-zeros.
+spaces, the zero-separation lower bound on its sine, and the largest
+factor radius, which bounds the radius of the product from below.
 
 The angle is taken to be the smallest principal angle: its cosine (the
 top singular value of the cross-Gram of orthonormal bases) is exactly the
-constant bounding normalized cross inner products, which is what the
-radius estimate consumes.
+constant bounding normalized cross inner products.
 """
 
 from __future__ import annotations
@@ -159,37 +157,28 @@ def sin_angle_lower_bound(phi1: BlaschkeProduct, phi2: BlaschkeProduct) -> float
 
 
 class RadiusEstimate(NamedTuple):
-    """Outcome of the separated-zeros radius estimate.
+    """Pairwise angles and factor radii of a product of single-zero factors.
 
-    ``bound`` is only meaningful when ``applicable`` is true, that is when
-    rho < (1 - delta) / (2 (p - 1)); it is None otherwise.  ``angles``
-    holds the :class:`AngleReport` of every factor pair (i, j), i < j, in
-    lexicographic order when rho is numeric, and is empty for the proxy.
+    ``rho`` is the largest pairwise cosine and ``delta`` the largest
+    single-factor radius.  ``angles`` holds the :class:`AngleReport` of
+    every factor pair (i, j), i < j, in lexicographic order when rho is
+    numeric, and is empty for the proxy.
     """
 
     rho: float
     delta: float
-    applicable: bool
-    bound: float | None
-    p: int
     angles: tuple[AngleReport, ...] = ()
 
 
-def g_bound(rho: float, delta: float, p: int) -> float:
-    """(delta + rho (p-1)) / (1 - rho (p-1)), the radius bound itself."""
-    return (delta + rho * (p - 1)) / (1.0 - rho * (p - 1))
-
-
 def radius_estimate(factors, rho_mode: str = "numeric") -> RadiusEstimate:
-    """Radius estimate for a product of single-zero Blaschke factors.
+    """rho and delta for a product of single-zero Blaschke factors.
 
-    delta is the largest single-factor radius; rho bounds the pairwise
-    cosines of the model-space angles, either computed numerically from
-    the cross-Gram ("numeric", sharper) or replaced by the proxy
-    sqrt(1 - b) with b the zero-separation bound ("f-proxy", matching the
-    closed two-factor estimate).  When rho stays below
-    (1 - delta) / (2 (p - 1)) the numerical radius of the product model
-    operator is at most ``g_bound(rho, delta, p)``, which is then below 1.
+    delta is the largest single-factor radius.  Each factor's model space
+    is an S*-invariant subspace of the product's, so delta is at most the
+    numerical radius of the product model operator.  rho bounds the
+    pairwise cosines of the model-space angles, either computed
+    numerically from the cross-Gram ("numeric", sharper) or replaced by
+    the proxy sqrt(1 - b) with b the zero-separation bound ("f-proxy").
     """
     factors = list(factors)
     p = len(factors)
@@ -213,8 +202,4 @@ def radius_estimate(factors, rho_mode: str = "numeric") -> RadiusEstimate:
             else:
                 b = sin_angle_lower_bound(factors[i], factors[j])
                 rho = max(rho, math.sqrt(max(0.0, 1.0 - b)))
-    applicable = rho < (1.0 - delta) / (2.0 * (p - 1))
-    bound = g_bound(rho, delta, p) if applicable else None
-    return RadiusEstimate(
-        rho=rho, delta=delta, applicable=applicable, bound=bound, p=p, angles=tuple(angles)
-    )
+    return RadiusEstimate(rho=rho, delta=delta, angles=tuple(angles))

@@ -185,10 +185,10 @@ def schwarz_pick_suite(trials: int = 200, seed: int = 1) -> SuiteResult:
 
 
 def angles_suite(trials: int = 50, seed: int = 3) -> SuiteResult:
-    """Subspace angle sine against its separation lower bound, the radius
-    estimate when applicable, the strict polygon lower bound on the
-    product radius, and the exact (Stein) cross-Gram against the Taylor
-    one at its default truncation."""
+    """Subspace angle sine against its separation lower bound, the product
+    radius against the largest factor radius delta below it and the strict
+    polygon bound cos(pi/n) below it, and the exact (Stein) cross-Gram
+    against the Taylor one at its default truncation."""
     out = SuiteResult(suite="angles", trials=trials, seed=seed)
     rng = np.random.default_rng(seed)
     for i in range(trials):
@@ -209,16 +209,15 @@ def angles_suite(trials: int = 50, seed: int = 3) -> SuiteResult:
         rec = {
             "trial": i, "zero1": z1, "zero2": z2, "n1": n1, "n2": n2,
             "cos": rep.cos_angle, "sin": rep.sin_angle, "sin_lower_bound": bound,
-            "rho": est.rho, "delta": est.delta, "applicable": est.applicable,
-            "bound": est.bound, "product_radius": product_radius,
+            "rho": est.rho, "delta": est.delta, "product_radius": product_radius,
             "polygon_floor": math.cos(math.pi / n),
             "gram_taylor_delta": gram_delta,
         }
         out.records.append(rec)
         if rep.sin_angle < bound - TOLERANCES["sin_bound_slack"]:
             out.fail(f"trial {i}: sin {rep.sin_angle:.6f} below bound {bound:.6f}")
-        if est.applicable and product_radius > est.bound + TOLERANCES["estimate_slack"]:
-            out.fail(f"trial {i}: radius {product_radius:.6f} above bound {est.bound:.6f}")
+        if product_radius < est.delta - TOLERANCES["estimate_slack"]:
+            out.fail(f"trial {i}: radius {product_radius:.6f} below delta {est.delta:.6f}")
         if est.rho > proxy.rho + 1e-9:
             out.fail(f"trial {i}: numeric rho {est.rho:.6f} above proxy {proxy.rho:.6f}")
         if gram_delta > TOLERANCES["gram_agreement"]:

@@ -35,15 +35,15 @@ def test_radius_single_zero_agreement(capsys):
     assert data["results"]["agreement"]["formula_vs_eigen"] < 1e-9
 
 
-def test_radius_two_zero_product_has_estimate_block(capsys):
+def test_radius_two_zero_product_has_no_estimate_block(capsys):
+    # rho and delta of a product come from `numrange angles`
     code, out, _ = run_cli(
         capsys, "radius", "--zero", "0.3,0", "--zero", "-0.4,0.1"
     )
     assert code == 0
-    data = json.loads(out)
-    assert "eigen_radius" in data["results"]
-    est = data["results"]["estimate"]
-    assert set(est) == {"rho", "delta", "applicable", "bound"}
+    results = json.loads(out)["results"]
+    assert "eigen_radius" in results
+    assert "estimate" not in results
 
 
 def test_radius_product_with_repeated_zero_has_no_estimate_block(capsys):
@@ -216,9 +216,12 @@ def test_angles_subcommand(capsys):
         capsys, "angles", "--zero", "0.1,0", "--zero", "-0.1,0"
     )
     assert code == 0
-    data = json.loads(out)
-    pair = data["results"]["pairs"][0]
+    results = json.loads(out)["results"]
+    pair = results["pairs"][0]
     assert pair["sin_angle"] >= pair["sin_lower_bound"] - 1e-6
+    assert set(results) == {"pairs", "estimate", "estimate_proxy"}
+    assert set(results["estimate"]) == {"rho", "delta"}
+    assert set(results["estimate_proxy"]) == {"rho"}
 
 
 @pytest.mark.parametrize("a", [0.9999, 1 - 1e-6])

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -204,6 +205,31 @@ def test_parity_blocks_give_the_full_dense_spectrum(alpha, n):
     full = np.linalg.eigvalsh(kms_matrix(alpha, n))[::-1]
     blocks = kms_dense_eigenvalues(alpha, n)
     assert np.max(np.abs(blocks - full)) <= 1e-12 * max(1.0, full[0])
+
+
+def _mpmath_kms_eigenvalues(alpha, n):
+    """Poisson values at the roots of the phase equation
+    (n+1) t + 2 arg(1 - a e^{-it}) = k pi, each solved inside its bracket
+    ((k-1) pi/(n+1), k pi/(n+1)), all at 50 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        out = []
+        for k in range(1, n + 1):
+            def phase(t, k=k):
+                beta = mpmath.atan2(a * mpmath.sin(t), 1 - a * mpmath.cos(t))
+                return (n + 1) * t + 2 * beta - k * mpmath.pi
+            bracket = ((k - 1) * mpmath.pi / (n + 1), k * mpmath.pi / (n + 1))
+            t = mpmath.findroot(phase, bracket, solver="illinois")
+            out.append(float((1 - a * a) / (1 - 2 * a * mpmath.cos(t) + a * a)))
+        return np.array(out)
+
+
+def test_eigenvalues_near_the_circle_against_mpmath():
+    # a Poisson numerator written 1 - a*a keeps only 5.5e-11 relative accuracy
+    # at this alpha and puts the eigenvalues 1.4e-9 off
+    alpha, n = 0.999999, 128
+    exact = _mpmath_kms_eigenvalues(alpha, n)
+    assert np.max(np.abs(kms_eigenvalues(alpha, n) - exact)) <= 1e-11
 
 
 def test_eigenvalues_at_zero():

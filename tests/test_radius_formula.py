@@ -18,6 +18,14 @@ def test_zero_alpha_reduces_to_shift_radius():
         assert abs(radius_single_zero(0.0, n) - math.cos(math.pi / (n + 1))) < 1e-15
 
 
+@pytest.mark.parametrize("alpha", [5e-324, 1e-300, 1e-15, 1e-14])
+def test_tiny_alpha_tends_to_shift_radius(alpha):
+    # the root sits within rounding of the grid point k pi / (n+1); the bisection
+    # bracket must still be accepted there
+    for n in range(1, 40):
+        assert abs(radius_single_zero(alpha, n) - math.cos(math.pi / (n + 1))) <= 1e-13
+
+
 def test_argument_independence():
     base = radius_single_zero(0.5, 2)
     assert abs(base - 0.875) < 1e-12
