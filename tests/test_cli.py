@@ -199,6 +199,15 @@ def test_kms_near_circle_agrees_with_dense_solver(capsys):
     assert data["results"]["dense_delta_max"] <= data["tolerances"]["dense_agreement"] == 1e-9
 
 
+@pytest.mark.parametrize("alpha, n", [("1e-11", "1000"), ("1e-15", "14")])
+def test_kms_certifies_tiny_alpha(capsys, alpha, n):
+    # the sign certificate reads the parity value at the grid end exactly, and
+    # Newton ends a root whose bracket collapsed under rounding
+    code, out, _ = run_cli(capsys, "kms", "--alpha", alpha, "--n", n)
+    assert code == 0
+    assert json.loads(out)["results"]["dense_delta_max"] <= 1e-9
+
+
 def test_kms_dense_check_on_bench_like_inputs(capsys):
     # alpha and n from the ranges the angles-kms benchmark draws; the real
     # values-only dense solve agrees with the root system far inside

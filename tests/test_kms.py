@@ -8,6 +8,7 @@ from numrange.blaschke import poisson_kernel, real_part_symbol
 from numrange.errors import AlphaOutOfRangeError, TOutOfRangeError
 from numrange.kms import (
     BISECTION_WIDTH,
+    _parity,
     eigenvalue_equation,
     kms_dense_eigenvalues,
     kms_eigenvalues,
@@ -181,13 +182,44 @@ def test_root_system_at_zero_is_grid():
 
 @pytest.mark.parametrize("n", (*ARRAY_DEGREES, 1000))
 def test_root_system_sign_change_certificates(n):
+    # the certificate the solver checks: the parity kernel, with its grid value
+    # wherever the right probe end is x_k, where the first term is exactly 0
     half = 0.5 * BISECTION_WIDTH
-    for alpha in ARRAY_ALPHAS:
+    for alpha in (*ARRAY_ALPHAS, 1e-15):
         system = kms_root_system(alpha, n)
         for k, (t, (lo, hi)) in enumerate(zip(system.roots, system.brackets), start=1):
-            left = parity_equation(alpha, n, k, max(t - half, lo))
-            right = parity_equation(alpha, n, k, min(t + half, hi))
-            assert left * right <= 0.0
+            parity, at_grid = _parity(alpha, n, k)
+            left, right = max(t - half, lo), min(t + half, hi)
+            f_right = at_grid(right) if right == hi else parity(right)
+            assert np.sign(parity(left)) != np.sign(f_right)
+
+
+TINY_ALPHAS = (5e-324, 1e-300, 1e-15, 1e-14, 1e-13, 1e-11)
+TINY_DEGREES = (*range(1, 70), 128, 129, 500, 1000)
+
+
+@pytest.mark.parametrize("alpha", TINY_ALPHAS)
+def test_root_system_certifies_tiny_alpha(alpha):
+    # rounding of (n+1)t - k pi swamps the phase equation here: Newton must end on a
+    # collapsed bracket and the certificate must take the parity value at x_k exactly
+    for n in TINY_DEGREES:
+        roots = kms_root_system(alpha, n).roots
+        scalar = [solve_root(alpha, n, k) for k in range(1, n + 1)]
+        assert np.max(np.abs(roots - scalar)) <= 1e-13, n
+
+
+def test_parity_kernel_takes_numbers_and_arrays():
+    n, alpha = 9, 0.4
+    t = np.linspace(0.1, 3.0, 7)[:, None] * np.ones(n)
+    parity, at_grid = _parity(alpha, n, np.arange(1, n + 1))
+    grid = np.arange(1, n + 1) * math.pi / (n + 1)
+    for k in range(1, n + 1):
+        scalar, scalar_grid = _parity(alpha, n, k)
+        assert parity(t)[:, k - 1].tolist() == [scalar(x) for x in t[:, k - 1]]
+        assert parity(t)[0, k - 1] == parity_equation(alpha, n, k, t[0, k - 1])
+        assert at_grid(grid)[k - 1] == scalar_grid(grid[k - 1])
+        # the grid value drops a first term trig(k pi / 2) that is 0 up to rounding
+        assert abs(scalar_grid(grid[k - 1]) - scalar(grid[k - 1])) <= 1e-14
 
 
 @pytest.mark.parametrize("n", (256, 512))

@@ -121,6 +121,18 @@ def test_circumscription_of_true_polygon():
     assert np.max(np.abs(gaps)) < 1e-9
 
 
+def test_edge_gaps_do_not_depend_on_orientation():
+    # reversed vertices run clockwise, so every edge normal must be flipped outward;
+    # edge i of the reversed polygon is edge m - 2 - i of the original, the closing one stays
+    t = single_zero_matrix(0.5, 3).matrix
+    poly = 0.9 * poncelet_polygon(t, 1.0)
+    gaps = edge_support_gaps(poly, t)
+    assert np.min(gaps) > 0.01
+    np.testing.assert_allclose(
+        edge_support_gaps(poly[::-1], t), np.roll(gaps[::-1], -1), rtol=0, atol=1e-14
+    )
+
+
 @pytest.mark.parametrize(
     "t, shrink, low, high",
     [

@@ -10,7 +10,12 @@ from numrange.errors import AlphaOutOfRangeError, UnsupportedDegreeError
 from numrange.kms import kms_root_system
 from numrange.model_operator import single_zero_matrix
 from numrange.numerical_range import numerical_radius
-from numrange.radius import radius_closed_form, radius_poisson_form, radius_single_zero
+from numrange.radius import (
+    POISSON_FORM_MIN_ALPHA,
+    radius_closed_form,
+    radius_poisson_form,
+    radius_single_zero,
+)
 
 
 def test_zero_alpha_reduces_to_shift_radius():
@@ -94,6 +99,21 @@ def test_poisson_restatement_agrees():
     for n in (1, 2, 4, 7):
         for a in (0.1, 0.45, 0.8):
             assert abs(radius_poisson_form(a, n) - radius_single_zero(a, n)) < 1e-11
+
+
+def test_poisson_form_holds_down_to_its_bound():
+    for n in (1, 2, 4, 7, 128, 1000):
+        a = POISSON_FORM_MIN_ALPHA
+        assert abs(radius_poisson_form(a, n) - radius_single_zero(a, n)) < 1e-11
+        assert radius_poisson_form(0.0, n) == radius_single_zero(0.0, n)
+
+
+@pytest.mark.parametrize("a", [0.5 * POISSON_FORM_MIN_ALPHA, 1e-8, 1e-12, 1e-300, 5e-324])
+def test_poisson_form_refuses_alpha_below_its_bound(a):
+    # it divides an O(a) difference by 2a: 4.4e-5 off at 1e-12, 0.0 at 1e-300, NaN at 5e-324
+    for alpha in (a, -a, 1j * a):
+        with pytest.raises(AlphaOutOfRangeError):
+            radius_poisson_form(alpha, 2)
 
 
 def test_formulas_match_root_system_at_large_degree():

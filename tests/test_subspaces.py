@@ -155,6 +155,19 @@ def test_sin_lower_bound_needs_single_zero():
         sin_angle_lower_bound(two, single(0.5))
 
 
+def test_angle_of_a_two_zero_product_has_no_separation_bound():
+    rep = subspace_cos_angle(BlaschkeProduct(((0.1, 1), (0.2, 1))), single(0.5))
+    assert rep.sin_lower_bound == 0.0
+    assert rep.sin_angle > 0.0
+
+
+def test_sin_lower_bound_merges_factors_of_one_zero():
+    split = BlaschkeProduct(((0.3, 1), (0.3, 2)))
+    for other in (single(0.5), single(-0.2 + 0.4j, 2)):
+        assert sin_angle_lower_bound(split, other) == sin_angle_lower_bound(single(0.3, 3), other)
+        assert sin_angle_lower_bound(other, split) == sin_angle_lower_bound(other, single(0.3, 3))
+
+
 @st.composite
 def single_zero_factors(draw):
     """Two or three single-zero factors, |z| <= 0.95, multiplicities up to 3."""
