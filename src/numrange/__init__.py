@@ -78,8 +78,6 @@ from .model_operator import (
     char_det_closed_form,
     char_det_recurrence,
     compress_shift_adjoint,
-    minimal_function_residual,
-    mobius_of_shift,
     shift_adjoint_matrix,
     shift_matrix,
     single_zero_matrix,

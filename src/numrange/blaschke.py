@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     AlphaOutOfRangeError,
     IndexOutOfRangeError,
+    NotSingleZeroError,
     TruncationInsufficientError,
 )
 
@@ -77,6 +78,14 @@ class BlaschkeProduct:
     @property
     def degree(self) -> int:
         return sum(m for _, m in self.factors)
+
+    def sole_zero(self) -> tuple[complex, int]:
+        """The product's one distinct zero and the degree, however the
+        factors list it; NotSingleZeroError if it has more distinct zeros."""
+        distinct = {z for z, _ in self.factors}
+        if len(distinct) != 1:
+            raise NotSingleZeroError(f"product has {len(distinct)} distinct zeros")
+        return self.factors[0][0], self.degree
 
     def zeros(self) -> list[complex]:
         """Multiplicity-expanded zeros in declaration order."""

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .blaschke import BlaschkeProduct, poisson_kernel, real_part_symbol
-from .errors import NumrangeError
+from .errors import NotSingleZeroError, NumrangeError
 from .kms import kms_dense_eigenvalues, kms_root_system
 from .model_operator import compress_shift_adjoint
 from .numerical_range import DEFAULT_BOUNDARY_GRID, boundary, numerical_radius
@@ -83,8 +83,11 @@ def cmd_radius(args) -> tuple[RunReport, int]:
     if n >= 2:
         results["polygon_floor"] = math.cos(math.pi / n)
     agreement: dict = {}
-    if len(phi.factors) == 1:
-        zero, _ = phi.factors[0]
+    try:
+        zero, _ = phi.sole_zero()
+    except NotSingleZeroError:
+        pass
+    else:
         formula = radius_single_zero(zero, n)
         results["formula_radius"] = formula
         agreement["formula_vs_eigen"] = abs(formula - eigen)
@@ -98,7 +101,7 @@ def cmd_radius(args) -> tuple[RunReport, int]:
         command="radius",
         inputs=_phi_inputs(phi),
         results=results,
-        tolerances={"radius_agreement": TOLERANCES["radius_agreement"]},
+        tolerances={k: TOLERANCES[k] for k in ("radius_agreement", "closed_form_agreement")},
     )
     return report, EXIT_OK
 

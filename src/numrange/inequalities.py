@@ -180,23 +180,22 @@ def schwarz_pick_chain(
 ) -> SchwarzPickChain:
     """Evaluate the inequality chain behind :func:`schwarz_pick_check`.
 
-    shift_bound applies the same transform to the pure nilpotent shift;
-    mobius_power is the radius of the plain Moebius transform of the
-    shift raised to the vanishing order; formula_power evaluates the
-    closed radius formula instead.
+    lhs and formula_power are that check's lhs and rhs.  shift_bound
+    applies the same transform to the pure nilpotent shift; mobius_power
+    is the radius of the plain Moebius transform of the shift raised to
+    the vanishing order.
     """
+    check = schwarz_pick_check(t, f, alpha)
     a = complex(alpha)
     m_ord = vanishing_order(f, a)
     s = shift_adjoint_matrix(t.order)
-    lhs = numerical_radius(schwarz_pick_transform(t.matrix, f, a))
     shift_bound = numerical_radius(schwarz_pick_transform(s, f, a))
     mobius_power = numerical_radius(operator_mobius(s, a)) ** m_ord
-    formula_power = radius_single_zero(abs(a), t.order) ** m_ord
     return SchwarzPickChain(
-        lhs=lhs,
+        lhs=check.lhs,
         shift_bound=shift_bound,
         mobius_power=mobius_power,
-        formula_power=formula_power,
+        formula_power=check.rhs,
         order=m_ord,
     )
 

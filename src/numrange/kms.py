@@ -185,10 +185,12 @@ def kms_root_system(alpha, n: int) -> KmsRootSystem:
     """
     a = _unit_interval(alpha)
     n = int(n)
+    if n < 1:
+        raise ValueError("dimension must be positive")
     grid = np.arange(n + 1) * math.pi / (n + 1)
     lo, hi = grid[:-1], grid[1:]
     brackets = np.column_stack([lo, hi])
-    if a == 0.0 or n < 1:
+    if a == 0.0:
         return KmsRootSystem(alpha=a, n=n, roots=hi.copy(), brackets=brackets)
     roots = _newton_roots(a, n, lo, hi)
     half = 0.5 * BISECTION_WIDTH

@@ -1,9 +1,9 @@
 """Matrices of the compressed shift in the Takenaka basis.
 
 Builds the adjoint model operator for an arbitrary finite Blaschke
-product, the explicit Toeplitz form for a single zero, the Moebius
-identity expressing it through the plain shift, and the characteristic
-determinant of the rotated real part (recurrence and closed form).
+product, the explicit Toeplitz form for a single zero (the Moebius image
+of the plain shift under :func:`inequalities.operator_mobius`), and the
+characteristic determinant of the rotated real part (recurrence and closed form).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .blaschke import BlaschkeProduct, _in_disc, _unit_interval
 from .errors import LambdaOnBoundaryError
 
@@ -42,8 +41,8 @@ class ModelOperator:
 
     ``matrix`` holds the upper-triangular representation in the Takenaka
     basis; the operator for multiplication by z is its conjugate
-    transpose (``shift``).  The matrix is a completely non-unitary
-    contraction with a rank-one defect.
+    transpose.  The matrix is a completely non-unitary contraction with a
+    rank-one defect.
     """
 
     phi: BlaschkeProduct
@@ -52,11 +51,6 @@ class ModelOperator:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def shift(self) -> np.ndarray:
-        """Matrix of the compressed multiplication by z."""
-        return self.matrix.conj().T
 
 
 def compress_shift_adjoint(phi: BlaschkeProduct) -> ModelOperator:
@@ -86,13 +80,14 @@ def single_zero_matrix(alpha, n: int) -> ModelOperator:
     """Explicit Toeplitz form for the product with a single zero.
 
     Upper triangular with conj(alpha) on the diagonal and
-    (1 - |alpha|^2) (-alpha)**(d-1) on the d-th superdiagonal.
+    (1 - |alpha|^2) (-alpha)**(d-1) on the d-th superdiagonal.  For alpha = x + iy,
+    1 - |alpha|^2 = (1 - x)(1 + x) - y^2 keeps full accuracy for real alpha near +-1.
     """
     a = _in_disc(alpha)
     n = int(n)
     if n < 1:
         raise ValueError("degree must be positive")
-    sigma = 1.0 - abs(a) ** 2
+    sigma = (1.0 - a.real) * (1.0 + a.real) - a.imag * a.imag
     m = np.zeros((n, n), dtype=np.complex128)
     np.fill_diagonal(m, a.conjugate())
     for d in range(1, n):
@@ -100,32 +95,6 @@ def single_zero_matrix(alpha, n: int) -> ModelOperator:
         for l in range(n - d):
             m[l, l + d] = val
     return ModelOperator(phi=BlaschkeProduct.single_zero(a, n), matrix=m)
-
-
-def mobius_of_shift(alpha, n: int) -> np.ndarray:
-    """(S* + conj(alpha) I)(I + alpha S*)^{-1} for the nilpotent shift.
-
-    Equals ``single_zero_matrix(alpha, n).matrix`` entrywise; both are
-    kept as independent code paths so tests can compare them.
-    """
-    a = _in_disc(alpha)
-    s = shift_adjoint_matrix(int(n))
-    eye = np.eye(s.shape[0], dtype=np.complex128)
-    return linalg.rdiv(s + a.conjugate() * eye, eye + a * s)
-
-
-def minimal_function_residual(op: ModelOperator) -> float:
-    """Norm of phi evaluated on the compressed shift, ideally zero.
-
-    Evaluates the product of factors (S - z I)(I - conj(z) S)^{-1} over
-    all zeros, applied to the matrix of multiplication by z.
-    """
-    s = op.shift
-    eye = np.eye(op.n, dtype=np.complex128)
-    out = eye.copy()
-    for z in op.phi.zeros():
-        out = out @ linalg.rdiv(s - z * eye, eye - np.conj(z) * s)
-    return linalg.spectral_norm(out)
 
 
 def char_det_recurrence(alpha, lam: float, theta: float, n: int) -> float:

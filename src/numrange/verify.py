@@ -41,6 +41,7 @@ TOLERANCES = {
     "vertex_distinct": VERTEX_DISTINCT_TOL,
     "circumscription": 1e-6,
     "sin_bound_slack": 1e-6,
+    "proxy_slack": 1e-9,
     "estimate_slack": 1e-8,
     "dense_agreement": 1e-9,
     "gram_agreement": 1e-13,
@@ -218,7 +219,7 @@ def angles_suite(trials: int = 50, seed: int = 3) -> SuiteResult:
             out.fail(f"trial {i}: sin {rep.sin_angle:.6f} below bound {bound:.6f}")
         if product_radius < est.delta - TOLERANCES["estimate_slack"]:
             out.fail(f"trial {i}: radius {product_radius:.6f} below delta {est.delta:.6f}")
-        if est.rho > proxy.rho + 1e-9:
+        if est.rho > proxy.rho + TOLERANCES["proxy_slack"]:
             out.fail(f"trial {i}: numeric rho {est.rho:.6f} above proxy {proxy.rho:.6f}")
         if gram_delta > TOLERANCES["gram_agreement"]:
             out.fail(f"trial {i}: Stein vs Taylor cross-Gram delta {gram_delta:.3e}")

@@ -54,6 +54,30 @@ def test_radius_product_with_repeated_zero_has_no_estimate_block(capsys):
     assert "estimate" not in results
 
 
+def test_radius_of_a_repeated_zero_does_not_depend_on_how_it_is_listed(capsys):
+    # phi has one distinct zero, so the formula and closed-form cross-checks run
+    reports = []
+    for argv in (["--zero", "0.3,0", "--zero", "0.3,0"], ["--zero", "0.3,0:2"]):
+        code, out, _ = run_cli(capsys, "radius", *argv)
+        assert code == 0
+        reports.append(json.loads(out))
+    repeated, merged = reports
+    assert repeated["results"] == merged["results"]
+    assert repeated["results"]["agreement"]["formula_vs_eigen"] <= 1e-9
+    assert "closed_form_radius" in repeated["results"]
+
+
+def test_radius_lists_every_tolerance_it_reports_against(capsys):
+    code, out, _ = run_cli(capsys, "radius", "--alpha", "0.5,0", "--n", "3")
+    assert code == 0
+    data = json.loads(out)
+    assert set(data["results"]["agreement"]) == {"formula_vs_eigen", "closed_vs_formula"}
+    assert data["tolerances"] == {
+        "radius_agreement": TOLERANCES["radius_agreement"],
+        "closed_form_agreement": TOLERANCES["closed_form_agreement"],
+    }
+
+
 def test_radius_rejects_zero_on_boundary(capsys):
     code, _, err = run_cli(capsys, "radius", "--alpha", "1,0", "--n", "2")
     assert code == 3
@@ -206,6 +230,13 @@ def test_kms_certifies_tiny_alpha(capsys, alpha, n):
     code, out, _ = run_cli(capsys, "kms", "--alpha", alpha, "--n", n)
     assert code == 0
     assert json.loads(out)["results"]["dense_delta_max"] <= 1e-9
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_kms_rejects_nonpositive_degree(capsys, n):
+    code, out, err = run_cli(capsys, "kms", "--alpha", "0.5", "--n", n)
+    assert code == 2
+    assert out == "" and "positive" in err
 
 
 def test_kms_dense_check_on_bench_like_inputs(capsys):

@@ -22,7 +22,7 @@ from numrange.inequalities import (
     schwarz_pick_transform,
     vanishing_order,
 )
-from numrange.model_operator import mobius_of_shift, shift_adjoint_matrix, shift_matrix
+from numrange.model_operator import shift_adjoint_matrix, shift_matrix, single_zero_matrix
 from numrange.numerical_range import numerical_radius
 from numrange.radius import radius_single_zero
 
@@ -65,7 +65,7 @@ def test_operator_mobius_relates_to_shift_moebius():
     # for real a, (aI - S*)(I - a S*)^{-1} is minus the shifted model matrix
     a, n = 0.5, 3
     lhs = operator_mobius(shift_adjoint_matrix(n), a)
-    rhs = -mobius_of_shift(-a, n)
+    rhs = -single_zero_matrix(-a, n).matrix
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 

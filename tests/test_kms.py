@@ -194,6 +194,14 @@ def test_root_system_sign_change_certificates(n):
             assert np.sign(parity(left)) != np.sign(f_right)
 
 
+@pytest.mark.parametrize("alpha", (0.0, 0.5))
+@pytest.mark.parametrize("n", (0, -3))
+def test_root_system_rejects_nonpositive_degree(alpha, n):
+    # as solve_root and kms_matrix do, instead of returning an empty system
+    with pytest.raises(ValueError):
+        kms_root_system(alpha, n)
+
+
 TINY_ALPHAS = (5e-324, 1e-300, 1e-15, 1e-14, 1e-13, 1e-11)
 TINY_DEGREES = (*range(1, 70), 128, 129, 500, 1000)
 

@@ -1,18 +1,21 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numrange.blaschke import BlaschkeProduct
 from numrange.errors import AlphaOutOfRangeError, LambdaOnBoundaryError
+from numrange.inequalities import operator_mobius
 from numrange.linalg import hermitian_eig, spectral_norm
 from numrange.model_operator import (
+    LAMBDA_BOUNDARY_GUARD,
     char_det_closed_form,
     char_det_recurrence,
     compress_shift_adjoint,
-    minimal_function_residual,
-    mobius_of_shift,
     shift_adjoint_matrix,
     shift_matrix,
     single_zero_matrix,
@@ -54,9 +57,62 @@ def test_single_zero_entries():
     assert abs(m3[0, 2] - (-0.375)) < 1e-15
 
 
+def _mp_superdiagonals(alpha, n):
+    """(1 - |alpha|^2) (-alpha)**(d-1) for d = 1..n-1 at the working precision."""
+    a = mpmath.mpc(complex(alpha).real, complex(alpha).imag)
+    return [(1 - abs(a) ** 2) * (-a) ** (d - 1) for d in range(1, n)]
+
+
+@pytest.mark.parametrize(
+    "alpha", [0.5, 0.9999, 0.999999, 0.9999999, -0.9999999, 0.3 + 0.4j, -0.6 + 0.7j, 0.8j]
+)
+def test_single_zero_entries_against_mpmath(alpha):
+    # 1 - |alpha|^2 as (1 - x)(1 + x) - y^2: at real alpha = 0.9999999 the form 1 - a*a
+    # was off by 4e-11 relative
+    n = 8
+    m = single_zero_matrix(alpha, n).matrix
+    with mpmath.workdps(40):
+        for d, ref in enumerate(_mp_superdiagonals(alpha, n), start=1):
+            for l in range(n - d):
+                entry = mpmath.mpc(m[l, l + d].real, m[l, l + d].imag)
+                assert abs(entry - ref) <= 1e-15 * abs(ref), (d, l)
+
+
+def _mp_char_det(alpha, lam, theta, n):
+    a, lam, theta = mpmath.mpf(alpha), mpmath.mpf(lam), mpmath.mpf(theta)
+    c = mpmath.cos(theta)
+    d_prev, d_cur = mpmath.mpf(1), -a * c - lam
+    b = -2 * a * c - lam * (1 + a * a)
+    off = abs((1 - a * a) / 2 * mpmath.expj(theta) + a * a * c + a * lam) ** 2
+    for _ in range(2, n + 1):
+        d_prev, d_cur = d_cur, b * d_cur - off * d_prev
+    return d_cur
+
+
+def test_char_det_against_mpmath():
+    # both char-det routes keep 1 - a*a: near a = 1 it is O(1 - a) beside O(1) terms,
+    # so its rounding does not show against the oracle
+    rng = np.random.default_rng(31)
+    with mpmath.workdps(40):
+        for alpha in (0.3, 0.9, 0.9999, 0.999999, 0.9999999):
+            for _ in range(20):
+                lam, theta = float(rng.uniform(-0.99, 0.99)), float(rng.uniform(0, 2 * math.pi))
+                n = int(rng.integers(1, 30))
+                ref = _mp_char_det(alpha, lam, theta, n)
+                scale = max(1.0, float(abs(ref)))
+                for route in (char_det_recurrence, char_det_closed_form):
+                    assert abs(route(alpha, lam, theta, n) - ref) <= 1e-12 * scale
+
+
 def test_single_zero_rejects_boundary():
     with pytest.raises(AlphaOutOfRangeError):
         single_zero_matrix(1.0, 2)
+
+
+def mobius_of_shift(alpha, n):
+    """(S* + conj(alpha) I)(I + alpha S*)^{-1}, the Moebius route to the
+    single-zero matrix, through the production transform."""
+    return -operator_mobius(shift_adjoint_matrix(n), -complex(alpha).conjugate())
 
 
 def test_mobius_identity_at_zero():
@@ -90,10 +146,16 @@ def test_contraction_norm_and_rank_one_defect():
 
 
 def test_minimal_function_annihilates():
+    # phi(S) = 0 for S the compressed multiplication by z, the adjoint of the model matrix;
+    # operator_mobius(S, z) is minus the Blaschke factor at z applied to S
     rng = np.random.default_rng(19)
     for _ in range(8):
         op = compress_shift_adjoint(random_product(rng))
-        assert minimal_function_residual(op) < 1e-8
+        s = op.matrix.conj().T
+        out = np.eye(op.n, dtype=complex)
+        for z in op.phi.zeros():
+            out = out @ operator_mobius(s, z)
+        assert spectral_norm(out) < 1e-8
 
 
 def test_matrix_against_taylor_reconstruction():
@@ -156,6 +218,24 @@ def test_char_det_closed_form_matches_recurrence():
         rec = char_det_recurrence(alpha, lam, theta, n)
         clo = char_det_closed_form(alpha, lam, theta, n)
         assert abs(rec - clo) <= 1e-10 * max(1.0, abs(rec))
+
+
+LAM_EDGE = 1.0 - 2.0 * LAMBDA_BOUNDARY_GUARD
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.floats(0.0, 0.95),
+    st.floats(-LAM_EDGE, LAM_EDGE)
+    | st.sampled_from([0.9, 0.999, 1 - 1e-6, LAM_EDGE, -LAM_EDGE]),
+    st.floats(0.0, 2 * math.pi),
+    st.integers(0, 40),
+)
+def test_char_det_closed_form_matches_recurrence_up_to_the_guard(alpha, lam, theta, n):
+    # the closed form divides by sqrt(1 - lambda^2); it must hold wherever it is allowed
+    rec = char_det_recurrence(alpha, lam, theta, n)
+    clo = char_det_closed_form(alpha, lam, theta, n)
+    assert abs(rec - clo) <= 1e-10 * max(1.0, abs(rec))
 
 
 def test_char_det_closed_form_boundary_guard():
