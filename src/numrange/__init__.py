@@ -23,7 +23,6 @@ from .errors import (
     BracketFailureError,
     CommonZeroError,
     ConstantMapError,
-    DuplicateZeroError,
     IndexOutOfRangeError,
     LambdaOnBoundaryError,
     NonHermitianError,

@@ -37,6 +37,11 @@ def _in_disc(alpha) -> complex:
     return a
 
 
+def _defect(z: complex) -> float:
+    """1 - |z|^2 as (1 - x)(1 + x) - y^2, z = x + iy: full accuracy for real z near +-1."""
+    return (1.0 - z.real) * (1.0 + z.real) - z.imag * z.imag
+
+
 def _unit_interval(alpha) -> float:
     a = float(alpha)
     if not 0.0 <= a < 1.0:
@@ -162,8 +167,7 @@ class TaylorSeries:
 
 def _kernel_series(alpha: complex, n_terms: int) -> np.ndarray:
     # (1 - |a|^2)^{1/2} / (1 - conj(a) z) as a geometric series
-    sigma = math.sqrt(1.0 - abs(alpha) ** 2)
-    return sigma * alpha.conjugate() ** np.arange(n_terms)
+    return math.sqrt(_defect(alpha)) * alpha.conjugate() ** np.arange(n_terms)
 
 
 def _factor_series(alpha: complex, n_terms: int) -> np.ndarray:
@@ -171,7 +175,7 @@ def _factor_series(alpha: complex, n_terms: int) -> np.ndarray:
     c = np.empty(n_terms, dtype=np.complex128)
     c[0] = -alpha
     if n_terms > 1:
-        c[1:] = (1.0 - abs(alpha) ** 2) * alpha.conjugate() ** np.arange(n_terms - 1)
+        c[1:] = _defect(alpha) * alpha.conjugate() ** np.arange(n_terms - 1)
     return c
 
 
@@ -189,11 +193,11 @@ def _tail_bound(factor_zeros, kernel_zero: complex, n_terms: int) -> float:
         # plain monomial basis: the series is exact once it holds the degree
         return 0.0 if n_terms >= len(zs) else 1.0
     q = len(zs)
-    log_k = 0.5 * math.log(1.0 - abs(kernel_zero) ** 2)
+    log_k = 0.5 * math.log(_defect(kernel_zero))
     for z in factor_zeros:
         # log max(|z|, (1 - |z|^2) / rho), without overflow for subnormal rho
         log_k += max(math.log(abs(z)) if z else -math.inf,
-                     math.log(1.0 - abs(z) ** 2) - math.log(rho))
+                     math.log(_defect(z)) - math.log(rho))
     growth = 1.0 + (q - 1) / (n_terms + 1.0)
     if growth * rho >= 1.0:
         return math.inf

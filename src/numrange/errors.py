@@ -67,12 +67,8 @@ class ConstantMapError(NumrangeError):
 
 
 class CommonZeroError(NumrangeError):
-    """Two Blaschke products share a zero; the subspace angle degenerates."""
+    """Two Blaschke products, or two factors of one product, share a zero."""
 
 
 class NotSingleZeroError(NumrangeError):
     """A Blaschke product with a single distinct zero was required."""
-
-
-class DuplicateZeroError(NumrangeError):
-    """Factors of a product must have pairwise distinct zeros."""

@@ -1,8 +1,9 @@
 """Matrices of the compressed shift in the Takenaka basis.
 
-Builds the adjoint model operator for an arbitrary finite Blaschke
-product, the explicit Toeplitz form for a single zero (the Moebius image
-of the plain shift under :func:`inequalities.operator_mobius`), and the
+Builds the adjoint model operator of any list of zeros (for phi, and for
+z phi, whose first row holds the basis values at 0 for the cross-Gram),
+the explicit Toeplitz form for a single zero (the Moebius image of the
+plain shift under :func:`inequalities.operator_mobius`), and the
 characteristic determinant of the rotated real part (recurrence and closed form).
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _in_disc, _unit_interval
+from .blaschke import BlaschkeProduct, _defect, _in_disc, _unit_interval
 from .errors import LambdaOnBoundaryError
 
 # Switch from the closed form back to the recurrence this close to |lambda| = 1.
@@ -24,10 +25,7 @@ def shift_matrix(n: int) -> np.ndarray:
     """The n x n Jordan shift with ones on the first subdiagonal."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    s = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n - 1):
-        s[i + 1, i] = 1.0
-    return s
+    return np.eye(n, k=-1, dtype=np.complex128)
 
 
 def shift_adjoint_matrix(n: int) -> np.ndarray:
@@ -53,19 +51,19 @@ class ModelOperator:
         return self.matrix.shape[0]
 
 
-def compress_shift_adjoint(phi: BlaschkeProduct) -> ModelOperator:
-    """Matrix of the adjoint compressed shift in the Takenaka basis.
+def _matrix(zeros: list[complex]) -> np.ndarray:
+    """Matrix of S* on the model space of the zeros z_1..z_n, listed with
+    multiplicity, in their Takenaka basis; its leading m x m block is the
+    matrix for z_1..z_m.
 
-    With zeros z_1..z_n listed with multiplicity and
-    s_k = (1 - |z_k|^2)^{1/2}, the entry in row l, column k is
+    With s_k = (1 - |z_k|^2)^{1/2}, the entry in row l, column k is
 
         conj(z_l)                      if k == l,
         s_l s_k prod_{l<j<k} (-z_j)    if k > l,
         0                              below the diagonal.
     """
-    zeros = phi.zeros()
     n = len(zeros)
-    sig = [math.sqrt(1.0 - abs(z) ** 2) for z in zeros]
+    sig = [math.sqrt(_defect(z)) for z in zeros]
     m = np.zeros((n, n), dtype=np.complex128)
     for l in range(n):
         m[l, l] = zeros[l].conjugate()
@@ -73,21 +71,26 @@ def compress_shift_adjoint(phi: BlaschkeProduct) -> ModelOperator:
         for k in range(l + 1, n):
             m[l, k] = sig[l] * sig[k] * prod
             prod *= -zeros[k]
-    return ModelOperator(phi=phi, matrix=m)
+    return m
+
+
+def compress_shift_adjoint(phi: BlaschkeProduct) -> ModelOperator:
+    """Matrix of the adjoint compressed shift in the Takenaka basis
+    (:func:`_matrix` of the multiplicity-expanded zeros)."""
+    return ModelOperator(phi=phi, matrix=_matrix(phi.zeros()))
 
 
 def single_zero_matrix(alpha, n: int) -> ModelOperator:
     """Explicit Toeplitz form for the product with a single zero.
 
     Upper triangular with conj(alpha) on the diagonal and
-    (1 - |alpha|^2) (-alpha)**(d-1) on the d-th superdiagonal.  For alpha = x + iy,
-    1 - |alpha|^2 = (1 - x)(1 + x) - y^2 keeps full accuracy for real alpha near +-1.
+    (1 - |alpha|^2) (-alpha)**(d-1) on the d-th superdiagonal.
     """
     a = _in_disc(alpha)
     n = int(n)
     if n < 1:
         raise ValueError("degree must be positive")
-    sigma = (1.0 - a.real) * (1.0 + a.real) - a.imag * a.imag
+    sigma = _defect(a)
     m = np.zeros((n, n), dtype=np.complex128)
     np.fill_diagonal(m, a.conjugate())
     for d in range(1, n):

@@ -1,10 +1,10 @@
 """Principal angles between model spaces of Blaschke products.
 
-Computes cross-Gram matrices of Takenaka bases exactly, from a triangular
-Stein equation, with the certified Taylor truncation kept as an
-independent cross-check; the smallest principal angle between two model
-spaces, the zero-separation lower bound on its sine, and the largest
-factor radius, which bounds the radius of the product from below.
+Computes cross-Gram matrices of Takenaka bases exactly, by a triangular
+Stein solve on one model-operator build of z phi per product, with the
+certified Taylor truncation as an independent cross-check; the smallest
+principal angle between two model spaces, the zero-separation lower bound
+on its sine, and the largest factor radius, a lower bound on the product's radius.
 
 The angle is taken to be the smallest principal angle: its cosine (the
 top singular value of the cross-Gram of orthonormal bases) is exactly the
@@ -21,20 +21,11 @@ import numpy as np
 
 from . import linalg
 from .blaschke import BlaschkeProduct, default_truncation, takenaka_basis
-from .errors import CommonZeroError, DuplicateZeroError, NotSingleZeroError
-from .model_operator import compress_shift_adjoint
+from .errors import CommonZeroError, NotSingleZeroError
+from .model_operator import _matrix
 from .radius import radius_single_zero
 
 COMMON_ZERO_TOL = 1e-12
-
-
-def _values_at_zero(phi: BlaschkeProduct) -> np.ndarray:
-    """Value at 0 of each Takenaka basis function: s_k prod_{j<k} (-z_j)."""
-    out, prod = [], 1.0
-    for z in phi.zeros():
-        out.append(math.sqrt(1.0 - abs(z) ** 2) * prod)
-        prod *= -z
-    return np.array(out, dtype=np.complex128)
 
 
 def cross_gram(phi1: BlaschkeProduct, phi2: BlaschkeProduct) -> np.ndarray:
@@ -47,15 +38,19 @@ def cross_gram(phi1: BlaschkeProduct, phi2: BlaschkeProduct) -> np.ndarray:
 
         G = A1^T G conj(A2) + c1 c2^H
 
-    with A_i the matrix of S* on H(phi_i) (:func:`compress_shift_adjoint`)
-    and c_i the values of the basis functions at 0.  A1^T is lower and
-    conj(A2) upper triangular, so row k of G solves an upper-triangular
-    system in the rows before it, with diagonal 1 - conj(z1_k) z2_l, which
-    is nonzero for zeros inside the disc.  No series is truncated.
+    with A_i the matrix of S* on H(phi_i) and c_i the values of the basis
+    functions at 0.  One model-operator build gives both: H(z phi) is
+    C + z H(phi) and S*(z e_k) = e_k, so the matrix of S* on H(z phi), for
+    the zeros 0, z_1, .., z_n, holds the values e_k(0) in its first row and
+    A below it.  A1^T is lower and conj(A2) upper triangular, so row k of G
+    solves an upper-triangular system in the rows before it, with diagonal
+    1 - conj(z1_k) z2_l, which is nonzero for zeros inside the disc.  No
+    series is truncated.
     """
-    a1 = compress_shift_adjoint(phi1).matrix
-    a2 = compress_shift_adjoint(phi2).matrix.conj()
-    c1, c2 = _values_at_zero(phi1), _values_at_zero(phi2).conj()
+    m1 = _matrix([0j] + phi1.zeros())
+    m2 = _matrix([0j] + phi2.zeros()).conj()
+    c1, a1 = m1[0, 1:], m1[1:, 1:]
+    c2, a2 = m2[0, 1:], m2[1:, 1:]
     gram = np.zeros((len(c1), len(c2)), dtype=np.complex128)
     for k in range(len(c1)):
         w = a1[k, k]
@@ -168,7 +163,7 @@ def radius_estimate(factors, rho_mode: str = "numeric") -> RadiusEstimate:
     for i in range(p):
         for j in range(i + 1, p):
             if abs(singles[i][0] - singles[j][0]) < COMMON_ZERO_TOL:
-                raise DuplicateZeroError(f"factors {i} and {j} share the zero {singles[i][0]}")
+                raise CommonZeroError(f"factors {i} and {j} share the zero {singles[i][0]}")
     delta = max(radius_single_zero(z, m) for z, m in singles)
     rho = 0.0
     angles = []

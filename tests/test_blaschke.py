@@ -146,13 +146,18 @@ def test_takenaka_truncation_cap():
 
 
 def _reference_row(zeros, k, n_terms):
-    """Row k (0-based) convolved factor by factor, as in the definition."""
+    """Row k (0-based) convolved factor by factor, as in the definition, with
+    1 - |z|^2 written (1 - x)(1 + x) - y^2 for z = x + iy."""
+
+    def defect(z):
+        return (1.0 - z.real) * (1.0 + z.real) - z.imag * z.imag
+
     z = zeros[k]
-    row = math.sqrt(1.0 - abs(z) ** 2) * z.conjugate() ** np.arange(n_terms)
+    row = math.sqrt(defect(z)) * z.conjugate() ** np.arange(n_terms)
     for w in zeros[:k]:
         factor = np.empty(n_terms, dtype=complex)
         factor[0] = -w
-        factor[1:] = (1.0 - abs(w) ** 2) * w.conjugate() ** np.arange(n_terms - 1)
+        factor[1:] = defect(w) * w.conjugate() ** np.arange(n_terms - 1)
         row = np.convolve(row, factor)[:n_terms]
     return row
 

@@ -269,7 +269,7 @@ def test_angles_accepts_zero_near_the_circle(capsys, a):
     code, out, _ = run_cli(capsys, "angles", "--zero", f"{a!r},0", "--zero", "0.3,0")
     assert code == 0
     (pair,) = json.loads(out)["results"]["pairs"]
-    closed = math.sqrt((1 - a * a) * (1 - 0.3**2)) / (1 - a * 0.3)
+    closed = math.sqrt((1 - a) * (1 + a) * (1 - 0.3**2)) / (1 - a * 0.3)
     assert abs(pair["cos_angle"] - closed) <= 1e-15
     assert pair["truncation"] == 0
 

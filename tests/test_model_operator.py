@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numrange.blaschke import BlaschkeProduct
+from numrange.blaschke import BlaschkeProduct, takenaka_basis
 from numrange.errors import AlphaOutOfRangeError, LambdaOnBoundaryError
 from numrange.inequalities import operator_mobius
 from numrange.linalg import hermitian_eig, spectral_norm
 from numrange.model_operator import (
     LAMBDA_BOUNDARY_GUARD,
+    _matrix,
     char_det_closed_form,
     char_det_recurrence,
     compress_shift_adjoint,
@@ -69,8 +70,19 @@ def _mp_superdiagonals(alpha, n):
 def test_single_zero_entries_against_mpmath(alpha):
     # 1 - |alpha|^2 as (1 - x)(1 + x) - y^2: at real alpha = 0.9999999 the form 1 - a*a
     # was off by 4e-11 relative
-    n = 8
-    m = single_zero_matrix(alpha, n).matrix
+    _assert_superdiagonals_match(single_zero_matrix(alpha, 8).matrix, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.9999, 0.999999, 0.9999999, -0.9999, -0.999999, -0.9999999])
+def test_general_single_zero_entries_against_mpmath(alpha):
+    # the general builder takes 1 - |z|^2 from the same defect as the Toeplitz form;
+    # with 1 - abs(z)**2 its entries were off by up to 4e-11 relative
+    op = compress_shift_adjoint(BlaschkeProduct.single_zero(alpha, 3))
+    _assert_superdiagonals_match(op.matrix, alpha)
+
+
+def _assert_superdiagonals_match(m, alpha):
+    n = m.shape[0]
     with mpmath.workdps(40):
         for d, ref in enumerate(_mp_superdiagonals(alpha, n), start=1):
             for l in range(n - d):
@@ -172,6 +184,44 @@ def test_matrix_against_taylor_reconstruction():
             for l in range(n):
                 rebuilt[l, k] = np.sum(series[k].coeffs[1:] * np.conj(series[l].coeffs[:-1]))
         assert np.max(np.abs(rebuilt - compress_shift_adjoint(phi).matrix)) < 1e-9
+
+
+def test_builder_blocks_are_the_model_operators_and_basis_values_at_zero():
+    # on the zeros 0, z_1..z_n the builder gives S* on H(z phi): its first row holds the
+    # basis values at 0, checked against the constant Taylor terms, an independent route
+    # to the Stein right-hand side, and the block below it is S* on H(phi)
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        phi = random_product(rng, max_mod=0.95)
+        m = _matrix([0j] + phi.zeros())
+        assert np.array_equal(m[1:, 1:], compress_shift_adjoint(phi).matrix)
+        rows, _ = takenaka_basis(phi, 32)
+        assert np.max(np.abs(m[0, 1:] - rows[:, 0])) <= 4 * np.finfo(float).eps
+
+
+def _divisor_test_factors(rng):
+    factors = []
+    for _ in range(int(rng.integers(2, 5))):
+        if rng.random() < 0.7:
+            r = 1.0 - 10.0 ** -rng.uniform(0.0, 3.0)
+        else:
+            r = 0.99 * rng.random()
+        factors.append((r * cmath.exp(2j * math.pi * rng.random()), int(rng.integers(1, 4))))
+    return factors
+
+
+def test_divisor_monotonicity():
+    # a prefix psi of the factors divides phi, and S(psi) is the leading block of S(phi),
+    # so w(S(psi)) <= w(S(phi)); unlike a floor check, an underestimated radius fails this
+    rng = np.random.default_rng(37)
+    for _ in range(400):
+        factors = _divisor_test_factors(rng)
+        full = compress_shift_adjoint(BlaschkeProduct(tuple(factors))).matrix
+        w = numerical_radius(full)
+        for p in range(1, len(factors)):
+            prefix = compress_shift_adjoint(BlaschkeProduct(tuple(factors[:p]))).matrix
+            assert np.array_equal(prefix, full[: len(prefix), : len(prefix)])
+            assert numerical_radius(prefix) <= w + 1e-12 * max(1.0, w)
 
 
 def test_radius_invariant_under_zero_reordering():

@@ -8,11 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from numrange.blaschke import BlaschkeProduct, default_truncation
-from numrange.errors import (
-    CommonZeroError,
-    DuplicateZeroError,
-    NotSingleZeroError,
-)
+from numrange.errors import CommonZeroError, NotSingleZeroError
 from numrange.linalg import hermitian_eig
 from numrange import subspaces, verify
 from numrange.numerical_range import numerical_radius
@@ -217,7 +213,7 @@ def test_estimate_keeps_every_pair_angle():
 
 
 def test_estimate_duplicate_zero_rejected():
-    with pytest.raises(DuplicateZeroError):
+    with pytest.raises(CommonZeroError, match="factors 0 and 1 share the zero"):
         radius_estimate([single(0.3), single(0.3, 2)])
 
 
